@@ -54,7 +54,6 @@ from .npmle import (
     fit_npmle,
     fit_penalized,
     log_likelihood,
-    prune,
     scaled_kl_profile,
 )
 from .sim import (

@@ -6,18 +6,20 @@ penalized fit that jointly selects a support size when only the non-zero
 counts are observed.
 
 The solver maximizes sum_i m_i log sum_j w_j q(N_i, r_j) over the weight
-simplex by multiplicative fixed-point updates interleaved (every 20
-iterations) with a vertex-exchange step that line-searches toward the grid
-atom with the largest directional derivative.  A final refinement manages a
-small candidate support, solving each restriction exactly with an
-equality-constrained Newton method whose discarded atoms carry weight
-exactly zero.  Convergence is declared on the directional-derivative
-certificate
+simplex by the constrained Newton method (CNM) of Wang (2007, JRSS-B
+69:185), the same idea as the active-set SQP ("mix-SQP") of Kim, Carbonetto,
+Stephens & Anitescu (2020, JCGS).  Each step adds to the support the local
+maxima of the directional derivative that violate the certificate, solves a
+quadratic model of the log-likelihood on that support by non-negative least
+squares, and takes an Armijo step toward the result.  Atoms the model drops
+carry weight exactly zero.  Convergence is declared on the
+directional-derivative certificate
 
     gap = max_j (1/k) sum_i m_i q(N_i, r_j) / f_w(N_i) - 1,
 
-which is nonpositive at an exact maximizer and is recomputed from the final
-mixing distribution, so correctness does not depend on the solver path.
+which is nonpositive at an exact maximizer; the reported gap is the one at
+the returned weights, and ``certificate`` recomputes it independently from
+the mixing distribution alone.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.optimize import nnls
 
 from .base import (
     CountData,
@@ -50,15 +53,11 @@ __all__ = [
     "fit_npmle",
     "fit_penalized",
     "log_likelihood",
-    "prune",
     "scaled_kl_profile",
 ]
 
 DEFAULT_TOL = 1e-6
 DEFAULT_MAX_ITER = 20_000
-WEIGHT_FLOOR = 1e-12
-EM_BLOCK = 20
-PHASE1_ITERS = 200
 
 
 @dataclass(frozen=True)
@@ -67,7 +66,8 @@ class FitResult:
 
     ``optimality_gap`` is the largest directional-derivative violation over
     the grid, clamped below at zero; ``log_likelihood`` is the mixture
-    log-likelihood of the data at the fit.
+    log-likelihood of the data at the fit; ``iterations`` counts the
+    constrained-Newton steps taken.
     """
 
     mixing: MixingDistribution
@@ -179,251 +179,66 @@ def build_grid(
     return Grid(np.unique(atoms))
 
 
-def _line_search(s: np.ndarray, u: np.ndarray, mult: np.ndarray) -> float:
-    """Maximizer of lam -> sum m_i log((1-lam) s_i + lam u_i) on [0, 1]."""
-    diff = u - s
-
-    def deriv(lam: float) -> float:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            terms = mult * diff / (s + lam * diff)
-        return float(np.sum(terms))
-
-    if deriv(0.0) <= 0.0:
-        return 0.0
-    if np.all(u > 0) and deriv(1.0) >= 0.0:
-        return 1.0
-    lo, hi = 0.0, 1.0
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if deriv(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def _segment_max(mult: np.ndarray, f: np.ndarray, direction: np.ndarray, hi: float) -> float:
-    """argmax over [0, hi] of t -> sum m_i log(f_i + t * direction_i)."""
-
-    def deriv(t: float) -> float:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return float(np.sum(mult * direction / (f + t * direction)))
-
-    if deriv(0.0) <= 0.0:
-        return 0.0
-    if deriv(hi) >= 0.0:
-        return hi
-    lo_t, hi_t = 0.0, hi
-    for _ in range(70):
-        mid = 0.5 * (lo_t + hi_t)
-        if deriv(mid) > 0.0:
-            lo_t = mid
-        else:
-            hi_t = mid
-    return 0.5 * (lo_t + hi_t)
-
-
-def _restricted_newton(
-    Bs: np.ndarray,
-    mult: np.ndarray,
-    u0: np.ndarray,
-    ktot: float,
-    kkt_tol: float,
-    max_steps: int = 200,
-) -> np.ndarray:
-    """Maximize sum m_i log((Bs u)_i) over the simplex on a small support.
-
-    Equality-constrained Newton with an active set.  The Hessian here is
-    exact (the objective is a log of a linear form), so steps converge
-    quadratically; the bordered KKT system is solved in the least-norm sense
-    because the Hessian is rank-deficient whenever the support exceeds the
-    number of distinct counts.  Moves along each Newton direction stop at
-    the exact one-dimensional maximum, landing on the boundary when that is
-    optimal, so discarded atoms carry weight exactly zero.  Terminates when
-    every positive atom satisfies sum_i m_i Bs_ij / f_i = ktot and every
-    zero atom satisfies <= ktot, within ``kkt_tol`` (relative).
-    """
-    u = np.array(u0, dtype=float)
-    u /= u.sum()
-    f = Bs @ u
-    if f.min() <= 0.0:
-        return u  # support does not cover every count; nothing to refine
-    all_idx = np.arange(Bs.shape[1])
-    for _ in range(max_steps):
-        idx = np.flatnonzero(u > 0)
-        grad = Bs.T @ (mult / f)
-        resid = float(np.abs(grad[idx] - ktot).max())
-        inactive = np.setdiff1d(all_idx, idx, assume_unique=False)
-        resid_in = float(max(0.0, grad[inactive].max() - ktot)) if inactive.size else 0.0
-        if max(resid, resid_in) <= kkt_tol * ktot:
-            break
-        if resid <= kkt_tol * ktot and resid_in > 0.0:
-            # A previously discarded atom violates stationarity: reseed it.
-            j = inactive[np.argmax(grad[inactive])]
-            u[j] = 1e-12
-            u /= u.sum()
-            f = Bs @ u
-            continue
-        Bi = Bs[:, idx]
-        W = Bi * (np.sqrt(mult) / f)[:, None]
-        H = W.T @ W
-        nsz = idx.size
-        kkt = np.zeros((nsz + 1, nsz + 1))
-        kkt[:nsz, :nsz] = H
-        kkt[-1, :nsz] = 1.0
-        kkt[:nsz, -1] = 1.0
-        rhs = np.concatenate([grad[idx] - ktot, [0.0]])
-        try:
-            solution, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
-        except np.linalg.LinAlgError:
-            break
-        delta = solution[:nsz]
-        if not np.all(np.isfinite(delta)) or np.abs(delta).max() == 0.0:
-            break
-        negative = delta < 0
-        if negative.any():
-            alpha_max = float(np.min(-u[idx][negative] / delta[negative]))
-        else:
-            alpha_max = 1e3
-        alpha = _segment_max(mult, f, Bi @ delta, alpha_max)
-        if alpha <= 0.0:
-            break
-        stepped = np.clip(u[idx] + alpha * delta, 0.0, None)
-        if stepped.max() > 0:
-            # boundary hits leave float dust; snap it to exact zero
-            stepped[stepped <= 1e-14 * stepped.max()] = 0.0
-        new_u = np.zeros_like(u)
-        new_u[idx] = stepped
-        total = new_u.sum()
-        if total <= 0.0:
-            break
-        candidate = new_u / total
-        fc = Bs @ candidate
-        if fc.min() <= 0.0:
-            # zeroing removed the only atom covering some count; retreat to
-            # a strictly interior step
-            stepped = np.clip(u[idx] + 0.5 * min(alpha, alpha_max) * delta, 0.0, None)
-            new_u = np.zeros_like(u)
-            new_u[idx] = stepped
-            total = new_u.sum()
-            if total <= 0.0:
-                break
-            candidate = new_u / total
-            fc = Bs @ candidate
-            if fc.min() <= 0.0:
-                break
-        u, f = candidate, fc
-    return u
-
-
 def _solve_weights(
-    B: np.ndarray,
-    mult: np.ndarray,
-    tol: float,
-    max_iter: int,
-    w0: Optional[np.ndarray] = None,
-) -> tuple[np.ndarray, float, int, bool]:
-    """Weight optimization over the simplex for a row-scaled pmf matrix."""
-    d, m = B.shape
+    B: np.ndarray, mult: np.ndarray, tol: float, max_iter: int
+) -> tuple[np.ndarray, float, int]:
+    """Maximize sum_i m_i log (B w)_i over the weight simplex by CNM.
+
+    ``B`` is the row-scaled pmf matrix, so each row peaks at exactly 1.
+    Returns the weights, the certificate gap max_j g_j - 1 at them, where
+    g = B^T (m / Bw) / k, and the number of Newton steps taken.
+    """
     ktot = mult.sum()
-    w = np.full(m, 1.0 / m) if w0 is None else np.array(w0, dtype=float)
-    s = B @ w
-    obj = float(mult @ np.log(s))
+    sqrt_m = np.sqrt(mult)
+    # Multiplicity-weighted start on the row peaks gives f_i >= m_i / k, which
+    # the optimum satisfies too; a uniform start on the peaks lets the first
+    # step drop the only atom covering a count.
+    w = np.bincount(np.argmax(B, axis=1), weights=mult, minlength=B.shape[1]) / ktot
+    f = B @ w
     iterations = 0
-    gap = math.inf
-
-    def grad_ratio(sv: np.ndarray) -> np.ndarray:
-        # g_j = (1/k) sum_i m_i B_ij / s_i; equals 1 + directional derivative.
-        return (B.T @ (mult / sv)) / ktot
-
-    def ascent_check(sv: np.ndarray) -> None:
-        nonlocal obj
-        if __debug__:
-            new_obj = float(mult @ np.log(sv))
-            assert new_obj >= obj - 1e-9 * (1.0 + abs(obj))
-            obj = new_obj
-
-    def multiplicative_block(budget: int) -> None:
-        # Multiplicative updates with a vertex-exchange move every EM_BLOCK
-        # iterations (line search toward the best-derivative atom).
-        nonlocal w, s, gap, iterations
-        stop = min(max_iter, iterations + budget)
-        while iterations < stop:
-            g = grad_ratio(s)
-            gap = float(g.max() - 1.0)
-            if gap <= tol:
-                break
-            if (iterations + 1) % EM_BLOCK == 0:
-                j = int(np.argmax(g))
-                lam = _line_search(s, B[:, j], mult)
-                w *= 1.0 - lam
-                w[j] += lam
-            else:
-                w *= g
-                w /= w.sum()
-            s = B @ w
-            ascent_check(s)
-            iterations += 1
-
-    # Phase 1: global multiplicative / vertex-exchange sweep.
-    multiplicative_block(PHASE1_ITERS)
-
-    # Phase 2: support management around an exact restricted solver.  Each
-    # pass solves the weight problem on the current support to stationarity
-    # (active-set Newton, exact zeros there), then admits grid atoms whose
-    # directional derivative is still positive.  The loop stops when no grid
-    # atom violates the certificate; if no admissible atom remains while the
-    # certificate is unmet (Newton stall), fall back to multiplicative sweeps.
-    row_peaks = np.unique(np.argmax(B, axis=1))
-    support = np.flatnonzero(w > max(WEIGHT_FLOOR, w.max() * 1e-14))
-    cap = max(2 * d + 10, 30)
-    if support.size > cap:
-        support = support[np.argsort(w[support])[-cap:]]
-    support = np.union1d(support, row_peaks)
-    u = w[support] / w[support].sum()
-    while iterations < max_iter:
-        u = _restricted_newton(B[:, support], mult, u, ktot, kkt_tol=0.05 * tol)
-        keep = u > 0
-        support, u = support[keep], u[keep]
-        w = np.zeros(m)
-        w[support] = u
-        s = B @ w
-        obj = float(mult @ np.log(s))
-        iterations += 1
-        g = grad_ratio(s)
+    while True:
+        g = B.T @ (mult / f) / ktot
         gap = float(g.max() - 1.0)
-        if gap <= tol:
+        if gap <= tol or iterations >= max_iter:
             break
-        # Admit up to five local maxima of the derivative, best first.
-        violating = np.flatnonzero(g > 1.0 + 0.1 * tol)
-        is_peak = np.ones(violating.size, dtype=bool)
-        for t, j in enumerate(violating):
-            if j > 0 and g[j - 1] > g[j]:
-                is_peak[t] = False
-            if j + 1 < m and g[j + 1] >= g[j]:
-                is_peak[t] = False
-        peaks = violating[is_peak]
-        peaks = peaks[np.argsort(g[peaks])[-5:]]
-        new_atoms = np.setdiff1d(peaks, support)
-        if new_atoms.size == 0:
-            top = int(np.argmax(g))
-            if w[top] > 0:
-                multiplicative_block(10 * EM_BLOCK)
-                if gap <= tol:
+        # Admit every violating local maximum of g over the sorted grid.
+        left = np.concatenate(([-np.inf], g[:-1]))
+        right = np.concatenate((g[1:], [-np.inf]))
+        support = np.flatnonzero((w > 0) | ((g > 1.0) & (g > left) & (g >= right)))
+        # Newton step: minimize the quadratic model of the log-likelihood at f,
+        # ||diag(sqrt(m)/f) B_S u - 2 sqrt(m)||, over u >= 0; a heavy row holds
+        # sum(u) = 1.
+        Bs = B[:, support]
+        A = Bs * (sqrt_m / f)[:, None]
+        heavy = 1e3 * A.max()
+        u, _ = nnls(np.vstack([A, np.full(support.size, heavy)]), np.append(2.0 * sqrt_m, heavy))
+        u /= u.sum()
+        # g - 1 rather than g: both weight vectors sum to one, and this keeps a
+        # small slope from drowning in rounding.
+        slope = ktot * float((g[support] - 1.0) @ (u - w[support]))
+        # Armijo search on the segment from w to u.  Float dust is zeroed inside
+        # the test, so an accepted f is exactly the one checked; a tiny f would
+        # put huge entries into the next model, so such candidates are refused.
+        # The gain is summed as log ratios, which resolves gains far below the
+        # rounding of the log-likelihood itself.
+        step = 1.0
+        while slope > 0.0 and step > 1e-10:
+            cand = (1.0 - step) * w[support] + step * u
+            cand[cand < 1e-14 * cand.max()] = 0.0
+            cand /= cand.sum()
+            fc = Bs @ cand
+            if np.all(fc * ktot > 1e-8 * mult):
+                gain = float(mult @ np.log1p((fc - f) / f))
+                if gain > 0.0 and gain >= step * slope / 3.0:
                     break
-                support = np.flatnonzero(w > 0)
-                u = w[support] / w[support].sum()
-                continue
-            new_atoms = np.array([top])
-        eps = 1e-3 / new_atoms.size
-        u = np.concatenate([u * (1.0 - eps * new_atoms.size), np.full(new_atoms.size, eps)])
-        support = np.concatenate([support, new_atoms])
-        order = np.argsort(support)
-        support, u = support[order], u[order]
-
-    g = grad_ratio(s)
-    gap = float(g.max() - 1.0)
-    return w, gap, iterations, gap <= tol
+            step *= 0.5
+        else:
+            break  # no ascent left at this precision: w stays, with its gap
+        w = np.zeros_like(w)
+        w[support] = cand
+        f = fc
+        iterations += 1
+    return w, max(gap, 0.0), iterations
 
 
 def _prepare_rows(
@@ -437,25 +252,6 @@ def _prepare_rows(
         bad = values[~np.isfinite(rowmax)]
         raise FitError(f"count {bad[0]} has zero probability under every grid atom")
     return np.exp(logA - rowmax[:, None])
-
-
-def _directional_gap(
-    mixing: MixingDistribution,
-    values: np.ndarray,
-    mult: np.ndarray,
-    grid: Grid,
-    kernel: MixtureKernel,
-) -> float:
-    """max_j (1/k) sum_i m_i q(v_i, r_j) / f(v_i) - 1, clamped at 0."""
-    logq = np.atleast_2d(
-        log_pmf(kernel, values[:, None].astype(float), grid.atoms[None, :])
-    )
-    logf = np.atleast_1d(mixture_log_density(kernel, mixing, values.astype(float)))
-    if not np.all(np.isfinite(logf[mult > 0])):
-        raise FitError("mixture density vanishes at an observed count")
-    ratios = np.exp(logq - logf[:, None])
-    per_atom = (mult @ ratios) / mult.sum()
-    return max(float(per_atom.max() - 1.0), 0.0)
 
 
 def _log_likelihood_rows(
@@ -483,30 +279,15 @@ def _fit_rows(
     kernel: MixtureKernel,
     tol: float,
     max_iter: int,
-    weight_floor: float = WEIGHT_FLOOR,
 ) -> FitResult:
     live = mult > 0
     values_live, mult_live = values[live], mult[live]
     if values_live.size == 0:
         raise FitError("no counts to fit")
     B = _prepare_rows(values_live, grid, kernel)
-    iterations = 0
-    w0 = None
-    mixing = None
-    gap = math.inf
-    while iterations < max_iter:
-        w, _, used, _ = _solve_weights(B, mult_live, tol, max_iter - iterations, w0)
-        iterations += max(used, 1)
-        keep = w >= weight_floor
-        if not keep.any():
-            keep = w > 0
-        mixing = MixingDistribution(grid.atoms[keep], w[keep])
-        gap = _directional_gap(mixing, values_live, mult_live, grid, kernel)
-        if gap <= tol:
-            break
-        # Pruning nudged the certificate above tol; resume from the kept atoms.
-        w0 = np.zeros(len(grid))
-        w0[keep] = mixing.weights
+    w, gap, iterations = _solve_weights(B, mult_live, tol, max_iter)
+    keep = w > 0
+    mixing = MixingDistribution(grid.atoms[keep], w[keep])
     return FitResult(
         mixing=mixing,
         log_likelihood=_log_likelihood_rows(mixing, values_live, mult_live, kernel),
@@ -528,7 +309,10 @@ def fit_npmle(
 
     Returns weights over ``grid`` approximately maximizing
     sum_i log sum_j w_j q(N_i, r_j), with ``optimality_gap <= tol`` on
-    success; atoms whose final weight falls below 1e-12 are pruned.
+    success.  The weights come from the constrained Newton method of Wang
+    (2007).  It stops when the certificate holds, after ``max_iter`` Newton
+    steps, or when no step can raise the likelihood further; only the first
+    sets ``converged``.  Every returned atom carries positive weight.
     """
     if tol <= 0:
         raise DomainError("tol must be positive")
@@ -568,14 +352,6 @@ def certificate(
     )
     per_atom = np.einsum("i,ij->j", mult / ktot, np.exp(logq_grid - logf[:, None]))
     return max(float(per_atom.max() - 1.0), 0.0)
-
-
-def prune(mixing: MixingDistribution, weight_floor: float) -> MixingDistribution:
-    """Drop atoms with weight below the floor and renormalize."""
-    keep = mixing.weights >= weight_floor
-    if not keep.any():
-        raise FitError("every atom falls below the weight floor")
-    return MixingDistribution(mixing.atoms[keep], mixing.weights[keep])
 
 
 def fit_localized(

@@ -7,6 +7,7 @@ from countmix import (
     CountData,
     DomainError,
     FitError,
+    Fingerprint,
     Grid,
     MixingDistribution,
     MixtureKernel,
@@ -17,7 +18,6 @@ from countmix import (
     fit_npmle,
     log_likelihood,
     mixture_log_density,
-    prune,
     sample,
     make_distribution,
     LocalizedConfig,
@@ -193,21 +193,47 @@ def test_exact_single_atom_fit_has_zero_gap():
 # ------------------------------------------------------ invariants on random
 
 
-@pytest.mark.parametrize("kind", ["uniform", "zipf", "geometric"])
-def test_support_and_sparsity_invariants(kind):
-    dist = make_distribution(kind, 400)
-    counts = sample(dist, "multinomial", 3000, rng(hash(kind) % 1000))
-    fit = fit_npmle(counts)
+@pytest.mark.parametrize(
+    "stream, kind, k, n, family",
+    [
+        pytest.param(0, "uniform", 400, 3000, "poisson", id="uniform"),
+        pytest.param(1, "zipf", 400, 3000, "poisson", id="zipf"),
+        pytest.param(2, "geometric", 400, 3000, "poisson", id="geometric"),
+        pytest.param(3, "zipf", 50_000, 50_000, "poisson", id="zipf-5e4-poisson"),
+        pytest.param(4, "zipf", 50_000, 50_000, "binomial", id="zipf-5e4-binomial"),
+        pytest.param(5, "log_series", 100_000, 100_000, "poisson", id="log_series-1e5-poisson"),
+        pytest.param(6, "log_series", 100_000, 100_000, "binomial", id="log_series-1e5-binomial"),
+    ],
+)
+def test_support_and_sparsity_invariants(stream, kind, k, n, family):
+    dist = make_distribution(kind, k)
+    counts = sample(dist, "multinomial", n, rng(stream))
+    kernel = getattr(MixtureKernel, family)(counts.n)
+    fit = fit_npmle(counts, kernel=kernel)
     values, _ = counts.unique_with_multiplicity()
     spacing = fit.grid.max_spacing()
     lo = min(1.0, values.min() / counts.n) - spacing
     hi = min(1.0, values.max() / counts.n) + spacing
     assert fit.mixing.atoms.min() >= lo
     assert fit.mixing.atoms.max() <= hi
-    assert (fit.mixing.weights > 1e-9).sum() <= len(values)
+    assert len(fit.mixing.atoms) <= len(values)
+    assert fit.mixing.weights.min() > 0
     assert fit.converged
+    assert certificate(fit, counts, fit.grid, kernel) <= 1e-6
     # every fitted atom is a grid atom
     assert np.isin(fit.mixing.atoms, fit.grid.atoms).all()
+
+
+def test_geometric_fingerprint_at_k_1e6_certifies():
+    # Fingerprint of a geometric draw with k = n = 1e6: eleven distinct counts.
+    phi = {0: 382807, 1: 352906, 2: 176954, 3: 63223, 4: 18457, 5: 4512,
+           6: 906, 7: 193, 8: 38, 9: 2, 10: 2}
+    counts = Fingerprint(phi).to_counts(n=1_000_000)
+    kernel = MixtureKernel.poisson(counts.n)
+    fit = fit_npmle(counts, kernel=kernel)
+    assert fit.converged
+    assert certificate(fit, counts, fit.grid, kernel) <= 1e-6
+    assert len(fit.mixing.atoms) <= len(phi)
 
 
 def test_kl_identity_between_likelihood_and_count_histogram():
@@ -246,43 +272,6 @@ def test_expected_likelihood_equals_cross_entropy_of_mixtures():
     f_truth = np.exp([mixture_log_density(kernel, truth, int(j)) for j in js])
     rhs = 3.0 * float(f_truth @ log_f)
     assert lhs == pytest.approx(rhs, abs=1e-8)
-
-
-# -------------------------------------------------------------------- prune
-
-
-def test_prune_keeps_point_mass():
-    pi = MixingDistribution.point_mass(0.0)
-    assert prune(pi, 1e-12).atoms.tolist() == [0.0]
-
-
-def test_prune_drops_tiny_atom():
-    pi = MixingDistribution(np.array([0.1, 0.9]), np.array([1.0 - 1e-15, 1e-15]))
-    out = prune(pi, 1e-12)
-    assert out.atoms.tolist() == [0.1]
-    assert out.weights.tolist() == [1.0]
-
-
-def test_prune_mass_accounting_on_random_mixing():
-    from countmix import wasserstein
-
-    gen = rng(5)
-    atoms = np.sort(gen.uniform(0, 1, size=100))
-    atoms = np.unique(atoms)
-    weights = gen.uniform(0, 1, size=atoms.size)
-    pi = MixingDistribution(atoms, weights)
-    floor = 1e-3
-    out = prune(pi, floor)
-    removed_count = int((pi.weights < floor).sum())
-    assert pi.weights[pi.weights < floor].sum() < atoms.size * floor
-    assert out.weights.sum() == pytest.approx(1.0, abs=1e-12)
-    assert wasserstein(pi, out) <= floor * max(removed_count, 1)
-
-
-def test_prune_all_below_floor_errors():
-    pi = MixingDistribution(np.array([0.1, 0.9]), np.array([0.5, 0.5]))
-    with pytest.raises(FitError):
-        prune(pi, 0.9)
 
 
 # ---------------------------------------------------------------- localized
