@@ -103,10 +103,6 @@ class CountData:
     def max_count(self) -> int:
         return int(self.counts.max()) if self.counts.size else 0
 
-    def p_hat(self) -> np.ndarray:
-        """Empirical rates N_i / n of the explicit counts."""
-        return self.counts / self.n
-
     def unique_with_multiplicity(self) -> tuple[np.ndarray, np.ndarray]:
         """Distinct count values and their multiplicities, implicit zeros included.
 
@@ -193,9 +189,6 @@ class MixingDistribution:
 
     def __len__(self) -> int:
         return self.atoms.size
-
-    def mean(self) -> float:
-        return float(self.atoms @ self.weights)
 
     def expectation(self, values: np.ndarray) -> float:
         """Weighted average of per-atom values (same order as ``atoms``)."""

@@ -16,7 +16,7 @@ import scipy.stats
 
 from .base import CountData, DomainError, MixingDistribution, MixtureKernel
 from .kernels import log_pmf, mixture_log_density, pmf_truncation_point
-from .npmle import DEFAULT_MAX_ITER, DEFAULT_TOL, FitResult, build_grid, fit_npmle
+from .npmle import DEFAULT_TOL, FitResult, build_grid, fit_npmle
 
 __all__ = [
     "Fingerprint",
@@ -182,7 +182,6 @@ def gof_test(
     kernel: Optional[MixtureKernel] = None,
     m: Optional[int] = None,
     tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
 ) -> GofReport:
     """Chi-squared goodness of fit on the count histogram truncated at T.
 
@@ -212,7 +211,7 @@ def gof_test(
             )
             if kernel is None:
                 kernel = MixtureKernel.poisson(retained.n)
-            fit = fit_npmle(retained, build_grid(retained, m), kernel, tol, max_iter)
+            fit = fit_npmle(retained, build_grid(retained, m), kernel, tol)
         elif kernel is None:
             raise DomainError("a pre-computed fit needs its kernel")
         expected = _expected_mixture(fit, kernel, T, k_T)

@@ -18,7 +18,6 @@ from scipy.special import xlogy
 
 from .base import CountData, DomainError, MixingDistribution
 from .npmle import (
-    DEFAULT_MAX_ITER,
     DEFAULT_TOL,
     LocalizedConfig,
     LocalizedFit,
@@ -321,7 +320,6 @@ def estimate(
     kernel=None,
     m: Optional[int] = None,
     tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
     localized_config: Optional[LocalizedConfig] = None,
 ) -> EstimateReport:
     """One-stop estimation routing to the requested method.
@@ -336,13 +334,11 @@ def estimate(
     )
     if method == "plugin":
         grid = build_grid(counts, m, min_mass=min_mass)
-        fit = fit_npmle(counts, grid, kernel, tol, max_iter)
+        fit = fit_npmle(counts, grid, kernel, tol)
         report = plugin(spec, fit.mixing, counts.k, counts.n, diagnostics=fit)
         return report
     if method == "localized":
-        loc = fit_localized(
-            counts, localized_config, kernel, m, tol, max_iter, min_mass=min_mass
-        )
+        loc = fit_localized(counts, localized_config, kernel, m, tol, min_mass=min_mass)
         return estimate_combined(counts, spec, loc)
     if method == "empirical":
         return empirical_plugin(counts, spec)

@@ -31,11 +31,26 @@ def test_all_large_counts_select_k():
     assert result.k_hat == pytest.approx(3.0, rel=1e-9)
 
 
-def test_first_order_condition_at_selected_support():
-    dist = make_distribution("uniform", 200)
-    counts = sample(dist, "multinomial", 1200, rng(1))
+@pytest.mark.parametrize(
+    "family, k_star, n, philox_key",
+    [
+        ("uniform", 200, 1200, (313, 1)),
+        # Heavy-tailed draws (n = k*) whose profile is nearly flat over a long
+        # stretch of k': the search must still end after a fixed number of fits.
+        ("zipf", 10_000, 10_000, (1, 0)),
+        ("zipf", 3_000, 3_000, (2, 0)),
+        ("log_series", 5_000, 5_000, (3, 0)),
+        ("log_series", 10_000, 10_000, (0, 0)),
+    ],
+    ids=["uniform-200", "zipf-1e4-key1", "zipf-3e3-key2", "log_series-5e3-key3",
+         "log_series-1e4-key0"],
+)
+def test_first_order_condition_at_selected_support(family, k_star, n, philox_key):
+    gen = np.random.Generator(np.random.Philox(key=np.array(philox_key, dtype=np.uint64)))
+    counts = sample(make_distribution(family, k_star), "multinomial", n, gen)
     positive = CountData(counts.counts[counts.counts > 0], n=counts.n)
     result = fit_penalized(positive)
+    assert len(result.profile) <= 20
     assert result.k_hat >= positive.k
     if result.k_hat > positive.k:
         f0 = math.exp(
@@ -91,7 +106,7 @@ def test_scaled_kl_nonnegative_and_matches_identity():
     kp = kps[1]
     from countmix.npmle import _fit_padded, build_grid
 
-    fit = _fit_padded(positive, kp, build_grid(positive), kernel, 1e-6, 20000)
+    fit = _fit_padded(positive, kp, build_grid(positive), kernel, 1e-6)
     p = k / kp
     entropy_term = -(p * math.log(p) + (1 - p) * math.log(1 - p)) * kp
     lhs = dict(profile)[kp]
