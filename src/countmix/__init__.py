@@ -19,7 +19,6 @@ from .base import (
     ParseError,
 )
 from .evaluate import (
-    Fingerprint,
     GofReport,
     HellingerReport,
     chi2_sf,
@@ -39,7 +38,6 @@ from .functionals import (
     good_turing_unseen,
     miller_madow,
     plugin,
-    unseen_plugin,
 )
 from .kernels import log_pmf, mixture_log_density, pmf_matrix, pmf_truncation_point
 from .npmle import (

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import io as cmio
 from .base import CountData, DomainError, FitError, MixtureKernel, ParseError
-from .evaluate import Fingerprint, gof_test
+from .evaluate import gof_test
 from .functionals import FunctionalSpec, discovery_curve, estimate, good_turing_unseen
 from .npmle import (
     LocalizedConfig,
@@ -206,14 +206,7 @@ def _cmd_penalized(args) -> str:
 
 def _cmd_gof(args) -> str:
     counts = _load_counts(args)
-    fingerprint = Fingerprint.from_counts(counts)
-    report = gof_test(
-        fingerprint,
-        args.model,
-        args.T,
-        m=args.grid_size,
-        tol=args.tol,
-    )
+    report = gof_test(counts, args.model, args.T, m=args.grid_size, tol=args.tol)
     if args.format == "csv":
         return _csv_rows(
             [["T", "model", "statistic", "p_value"],

@@ -12,14 +12,13 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.stats
+from scipy.special import chdtrc
 
 from .base import CountData, DomainError, MixingDistribution, MixtureKernel
 from .kernels import log_pmf, mixture_log_density, pmf_truncation_point
 from .npmle import DEFAULT_TOL, FitResult, build_grid, fit_npmle
 
 __all__ = [
-    "Fingerprint",
     "GofReport",
     "HellingerReport",
     "chi2_sf",
@@ -29,50 +28,6 @@ __all__ = [
 ]
 
 GOF_MODELS = ("mixture", "p-model")
-
-
-@dataclass(frozen=True)
-class Fingerprint:
-    """Occurrence counts of count values: phi[j] = number of cells observed j times."""
-
-    phi: dict[int, int]
-
-    def __post_init__(self):
-        cleaned = {}
-        for j, count in self.phi.items():
-            j, count = int(j), int(count)
-            if j < 0 or count < 0:
-                raise DomainError("fingerprint entries must be nonnegative")
-            if count:
-                cleaned[j] = count
-        object.__setattr__(self, "phi", cleaned)
-
-    @classmethod
-    def from_counts(cls, counts: CountData) -> "Fingerprint":
-        values, mult = counts.unique_with_multiplicity()
-        return cls({int(v): int(m) for v, m in zip(values, mult)})
-
-    @property
-    def k(self) -> int:
-        return sum(self.phi.values())
-
-    def truncated(self, T: int) -> tuple[np.ndarray, np.ndarray]:
-        """(j, phi_j) arrays for j = 0..T, zeros filled in."""
-        js = np.arange(T + 1)
-        phis = np.array([self.phi.get(int(j), 0) for j in js])
-        return js, phis
-
-    def to_counts(self, n: Optional[int] = None, tail: int = 0) -> CountData:
-        """Expand into the count multiset; n defaults to the total count mass."""
-        counts = np.repeat(
-            [j for j in sorted(self.phi)], [self.phi[j] for j in sorted(self.phi)]
-        )
-        if n is None:
-            total = int(counts.sum())
-            if total == 0:
-                raise DomainError("cannot infer n from an all-zero fingerprint")
-            n = total
-        return CountData(counts, n=n, tail=tail)
 
 
 @dataclass(frozen=True)
@@ -151,7 +106,7 @@ def chi2_sf(x: float, dof: int) -> float:
         raise DomainError("degrees of freedom must be >= 1")
     if math.isinf(x):
         return 0.0
-    return float(scipy.stats.chi2.sf(x, dof))
+    return float(chdtrc(dof, x))
 
 
 def _expected_mixture(
@@ -175,7 +130,7 @@ def _expected_empirical(values: np.ndarray, mult: np.ndarray, T: int) -> np.ndar
 
 
 def gof_test(
-    fingerprint: Fingerprint,
+    counts: CountData,
     model: str,
     T: int,
     fit: Optional[FitResult] = None,
@@ -185,30 +140,30 @@ def gof_test(
 ) -> GofReport:
     """Chi-squared goodness of fit on the count histogram truncated at T.
 
-    Both models use only the cells with counts <= T.  Under "mixture" the
-    expected fingerprint is k_T * f(j) / F(<=T) for the fitted mixture
-    (fitted here unless ``fit`` is supplied); under "p-model" each retained
-    cell contributes a conditional Poisson at its empirical rate.  The
-    statistic sum_j (phi_j - E[phi_j])^2 / E[phi_j] is referred to the
-    chi-squared distribution with T degrees of freedom.
+    Both models use only the cells with counts <= T (implicit zeros
+    included).  Under "mixture" the expected fingerprint is
+    k_T * f(j) / F(<=T) for the fitted mixture (fitted here on the retained
+    cells unless ``fit`` is supplied); under "p-model" each retained cell
+    contributes a conditional Poisson at its empirical rate.  The statistic
+    sum_j (phi_j - E[phi_j])^2 / E[phi_j] is referred to the chi-squared
+    distribution with T degrees of freedom.
     """
     if model not in GOF_MODELS:
         raise DomainError(f"unknown goodness-of-fit model {model!r}")
     if T < 1:
         raise DomainError("truncation T must be >= 1")
-    js, phis = fingerprint.truncated(T)
-    k_T = int(phis.sum())
+    values, mult = counts.unique_with_multiplicity()
+    keep = values <= T
+    values, mult = values[keep], mult[keep]
+    k_T = int(mult.sum())
     if k_T == 0:
         raise DomainError("no cells with counts <= T")
-    values = js[phis > 0]
-    mult = phis[phis > 0].astype(float)
+    phis = np.zeros(T + 1)
+    phis[values] = mult
     if model == "mixture":
         if fit is None:
-            retained = CountData(
-                np.repeat(values, mult.astype(int)),
-                n=max(int((values * mult).sum()), 1),
-                k=k_T,
-            )
+            kept = counts.counts[counts.counts <= T]
+            retained = CountData(kept, n=max(int(kept.sum()), 1), k=k_T)
             if kernel is None:
                 kernel = MixtureKernel.poisson(retained.n)
             fit = fit_npmle(retained, build_grid(retained, m), kernel, tol)

@@ -19,6 +19,7 @@ from scipy.special import xlogy
 from .base import CountData, DomainError, MixingDistribution
 from .npmle import (
     DEFAULT_TOL,
+    FitResult,
     LocalizedConfig,
     LocalizedFit,
     build_grid,
@@ -38,7 +39,6 @@ __all__ = [
     "good_turing_unseen",
     "miller_madow",
     "plugin",
-    "unseen_plugin",
 ]
 
 KINDS = ("entropy", "power_sum", "renyi", "support_size", "unseen")
@@ -55,15 +55,13 @@ class FunctionalSpec:
     (alpha > 0, alpha != 1, estimated through the power sum); ``min_mass`` is
     the declared smallest category mass for support-size estimation (defaults
     to 1/k at estimation time); ``horizon`` is the look-ahead factor t of the
-    unseen-categories functional.  ``bounds`` overrides the default clamping
-    interval.
+    unseen-categories functional.
     """
 
     kind: str
     alpha: Optional[float] = None
     min_mass: Optional[float] = None
     horizon: Optional[float] = None
-    bounds: Optional[tuple[float, float]] = None
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -102,9 +100,7 @@ class FunctionalSpec:
         return cls("unseen", horizon=horizon)
 
     def resolved_bounds(self, k: int) -> tuple[float, float]:
-        """Clamping interval: explicit bounds if given, else the natural range."""
-        if self.bounds is not None:
-            return self.bounds
+        """Clamping interval: the natural range of the functional."""
         if self.kind in ("entropy", "renyi"):
             return (0.0, math.log(k))
         if self.kind == "power_sum":
@@ -122,7 +118,9 @@ class EstimateReport:
     """An estimate plus how it was produced.
 
     ``raw`` is the value before clamping to ``bounds``; ``parts`` splits the
-    combined estimator into its small-count and large-count contributions.
+    combined estimator into its small-count and large-count contributions;
+    ``fit`` is the mixture fit behind a plug-in or localized estimate (None
+    for the baselines and for a localized partition with no small cells).
     """
 
     value: float
@@ -130,7 +128,7 @@ class EstimateReport:
     parts: Optional[tuple[float, float]] = None
     raw: Optional[float] = None
     bounds: Optional[tuple[float, float]] = None
-    diagnostics: Optional[object] = None
+    fit: Optional[FitResult] = None
 
 
 def _clamped(raw: float, bounds: tuple[float, float]) -> float:
@@ -167,7 +165,7 @@ def plugin(
     mixing: MixingDistribution,
     k: int,
     n: Optional[int] = None,
-    diagnostics: Optional[object] = None,
+    fit: Optional[FitResult] = None,
 ) -> EstimateReport:
     """Plug-in estimate k * sum_j w_j g(r_j), clamped to the functional bounds.
 
@@ -182,7 +180,7 @@ def plugin(
         method="plugin",
         raw=raw,
         bounds=bounds,
-        diagnostics=diagnostics,
+        fit=fit,
     )
 
 
@@ -251,7 +249,7 @@ def estimate_combined(
         parts=(small, large),
         raw=raw,
         bounds=bounds,
-        diagnostics=localized.fit,
+        fit=localized.fit,
     )
 
 
@@ -299,18 +297,12 @@ def good_turing_unseen(counts: CountData, horizon: float) -> EstimateReport:
     return EstimateReport(value=max(raw, 0.0), method="good-turing", raw=raw)
 
 
-def unseen_plugin(
-    mixing: MixingDistribution, k: int, n: int, horizon: float
-) -> EstimateReport:
-    """Plug-in estimate of the categories discovered in t*n further units."""
-    return plugin(FunctionalSpec.unseen(horizon), mixing, k, n)
-
-
 def discovery_curve(
     mixing: MixingDistribution, k: int, n: int, horizons
 ) -> list[tuple[float, float]]:
     """Unseen plug-in evaluated on a list of horizons against one fit."""
-    return [(float(t), unseen_plugin(mixing, k, n, t).value) for t in horizons]
+    return [(float(t), plugin(FunctionalSpec.unseen(t), mixing, k, n).value)
+            for t in horizons]
 
 
 def estimate(
@@ -335,8 +327,7 @@ def estimate(
     if method == "plugin":
         grid = build_grid(counts, m, min_mass=min_mass)
         fit = fit_npmle(counts, grid, kernel, tol)
-        report = plugin(spec, fit.mixing, counts.k, counts.n, diagnostics=fit)
-        return report
+        return plugin(spec, fit.mixing, counts.k, counts.n, fit=fit)
     if method == "localized":
         loc = fit_localized(counts, localized_config, kernel, m, tol, min_mass=min_mass)
         return estimate_combined(counts, spec, loc)

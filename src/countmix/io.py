@@ -166,6 +166,8 @@ REPORT_SCHEMAS = {
             "type": {"const": "estimate"},
             "value": {"type": "number"},
             "method": {"type": "string"},
+            "converged": {"type": ["boolean", "null"]},
+            "optimality_gap": {"type": ["number", "null"], "minimum": 0},
         },
     },
     "gof": {
@@ -210,6 +212,7 @@ def write_fit(fit: FitResult) -> str:
 def write_report(report) -> str:
     """Serialize an estimate, goodness-of-fit, or penalized-fit report."""
     if isinstance(report, EstimateReport):
+        fit = report.fit
         doc = {
             "v": 1,
             "type": "estimate",
@@ -218,6 +221,8 @@ def write_report(report) -> str:
             "parts": list(report.parts) if report.parts is not None else None,
             "raw": report.raw,
             "bounds": list(report.bounds) if report.bounds is not None else None,
+            "converged": None if fit is None else fit.converged,
+            "optimality_gap": None if fit is None else fit.optimality_gap,
         }
     elif isinstance(report, GofReport):
         stat = report.statistic

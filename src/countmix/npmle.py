@@ -443,6 +443,8 @@ def fit_penalized(
         raise DomainError("penalized fit requires strictly positive counts")
     if counts.implicit_zeros:
         raise DomainError("zero padding is selected by the fit; supply only positive counts")
+    if k_max_factor <= 1.0:
+        raise DomainError("k_max_factor must exceed 1")
     c0, c1 = reg
     k = float(counts.k)
     k_max = k_max_factor * k

@@ -17,11 +17,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import xlogy
 
 from .base import CountData, DomainError, MixingDistribution
 from .evaluate import wasserstein
-from .functionals import FunctionalSpec, estimate
+from .functionals import FunctionalSpec, estimate, g_eval
 from .npmle import DEFAULT_TOL, fit_npmle
 
 __all__ = [
@@ -134,20 +133,11 @@ def histogram_distribution(dist: TrueDistribution) -> MixingDistribution:
 def true_value(
     dist: TrueDistribution, spec: FunctionalSpec, n: Optional[int] = None
 ) -> float:
-    """Exact value of the target functional at the ground truth."""
-    p = dist.probs
-    if spec.kind == "entropy":
-        return float(np.sum(-xlogy(p, p)))
-    if spec.kind == "power_sum":
-        return float(np.sum(p[p > 0] ** spec.alpha))
+    """Exact value of the target functional at the ground truth: sum_i g(p_i)."""
+    total = float(np.sum(g_eval(spec, dist.probs, n)))
     if spec.kind == "renyi":
-        return float(math.log(np.sum(p[p > 0] ** spec.alpha)) / (1.0 - spec.alpha))
-    if spec.kind == "support_size":
-        return float(np.sum(p > 0))
-    if n is None:
-        raise DomainError("the unseen functional needs the concentration n")
-    np_ = n * p
-    return float(np.sum(np.exp(-np_) * (-np.expm1(-spec.horizon * np_))))
+        return math.log(total) / (1.0 - spec.alpha)
+    return total
 
 
 def _rng(seed: int, stream: int) -> np.random.Generator:

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -65,6 +69,25 @@ def test_estimate_csv_format(capsys, raw_file):
     )
     assert code == 0
     assert out.splitlines()[0] == "functional,method,value"
+
+
+def test_estimate_reports_fit_certificate(capsys, raw_file):
+    code, out, _ = run(
+        capsys,
+        ["estimate", "--input", raw_file, "--functional", "entropy",
+         "--method", "localized", "--tol", "1e-7"],
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["converged"] is True
+    assert 0.0 <= doc["optimality_gap"] <= 1e-7
+    code, out, _ = run(
+        capsys,
+        ["estimate", "--input", raw_file, "--functional", "entropy", "--method", "empirical"],
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["converged"] is None and doc["optimality_gap"] is None
 
 
 def test_localized_reports_partition(capsys, raw_file):
@@ -177,3 +200,13 @@ def test_help_lists_every_flag(capsys, command, extra):
     text = capsys.readouterr().out
     for flag in shared + extra:
         assert flag in text, (command, flag)
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    probe = "import sys, countmix.cli; print('scipy.stats' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "False"

@@ -6,7 +6,6 @@ import pytest
 from countmix import (
     CountData,
     DomainError,
-    Fingerprint,
     FitResult,
     Grid,
     MixingDistribution,
@@ -163,7 +162,7 @@ def test_chi2_sf_against_mpmath_oracle():
 
 def test_gof_perfect_model_statistic_zero():
     # point mass at rate zero reproduces an all-zeros fingerprint exactly
-    fp = Fingerprint({0: 25})
+    counts = CountData(np.zeros(25, dtype=int), n=1)
     kern = MixtureKernel.poisson(1)
     fit = FitResult(
         mixing=MixingDistribution.point_mass(0.0),
@@ -173,14 +172,14 @@ def test_gof_perfect_model_statistic_zero():
         converged=True,
         grid=Grid(np.array([0.0])),
     )
-    report = gof_test(fp, "mixture", T=5, fit=fit, kernel=kern)
+    report = gof_test(counts, "mixture", T=5, fit=fit, kernel=kern)
     assert report.statistic == 0.0
     assert report.p_value == 1.0
     assert report.dof == 5
 
 
 def test_gof_degenerate_expected_flags_report():
-    fp = Fingerprint({0: 10, 3: 2})
+    counts = CountData([0] * 10 + [3] * 2, n=6)
     kern = MixtureKernel.poisson(1)
     fit = FitResult(
         mixing=MixingDistribution.point_mass(0.0),
@@ -190,7 +189,7 @@ def test_gof_degenerate_expected_flags_report():
         converged=True,
         grid=Grid(np.array([0.0])),
     )
-    report = gof_test(fp, "mixture", T=4, fit=fit, kernel=kern)
+    report = gof_test(counts, "mixture", T=4, fit=fit, kernel=kern)
     assert report.degenerate
     assert report.statistic == math.inf
     assert report.p_value == 0.0
@@ -199,8 +198,8 @@ def test_gof_degenerate_expected_flags_report():
 def test_gof_statistic_invariant_under_count_permutation():
     gen = rng(6)
     counts = gen.integers(0, 8, size=60)
-    a = Fingerprint.from_counts(CountData(counts, n=counts.sum()))
-    b = Fingerprint.from_counts(CountData(counts[::-1].copy(), n=counts.sum()))
+    a = CountData(counts, n=counts.sum())
+    b = CountData(counts[::-1].copy(), n=counts.sum())
     ra = gof_test(a, "p-model", T=7)
     rb = gof_test(b, "p-model", T=7)
     assert ra.statistic == pytest.approx(rb.statistic, abs=1e-12)
@@ -209,20 +208,25 @@ def test_gof_statistic_invariant_under_count_permutation():
 def test_gof_expected_fingerprint_sums_to_retained_cells():
     gen = rng(7)
     counts = gen.poisson(2.0, size=80)
-    fp = Fingerprint.from_counts(CountData(counts, n=max(int(counts.sum()), 1)))
+    data = CountData(counts, n=max(int(counts.sum()), 1))
     T = 6
-    k_T = sum(v for j, v in fp.phi.items() if j <= T)
+    k_T = int(np.sum(counts <= T))
     for model in ("mixture", "p-model"):
-        report = gof_test(fp, model, T=T)
+        report = gof_test(data, model, T=T)
         assert float(np.sum(report.expected)) == pytest.approx(k_T, rel=1e-9)
 
 
-def test_fingerprint_roundtrip_to_counts():
-    fp = Fingerprint({0: 3, 2: 2, 5: 1})
-    data = fp.to_counts()
-    assert sorted(data.counts.tolist()) == [0, 0, 0, 2, 2, 5]
-    assert data.n == 9
-    assert Fingerprint.from_counts(data).phi == fp.phi
+def test_gof_implicit_zeros_match_explicit_zeros():
+    gen = rng(8)
+    counts = gen.poisson(1.5, size=50)
+    positive = counts[counts > 0]
+    explicit = CountData(counts, n=max(int(counts.sum()), 1))
+    implicit = CountData(positive, n=explicit.n, k=explicit.k)
+    for model in ("mixture", "p-model"):
+        a = gof_test(explicit, model, T=4)
+        b = gof_test(implicit, model, T=4)
+        assert a.statistic == b.statistic
+        assert np.array_equal(a.expected, b.expected)
 
 
 def test_butterfly_fit_reproduces_zero_cell_count():
@@ -233,8 +237,7 @@ def test_butterfly_fit_reproduces_zero_cell_count():
     from countmix.io import read_counts
 
     data = read_counts(str(res.files("countmix").joinpath("data/butterfly.fp")))
-    fp = Fingerprint.from_counts(data)
-    report = gof_test(fp, "mixture", T=10)
+    report = gof_test(data, "mixture", T=10)
     density_at_zero = report.expected[0]
     assert math.isfinite(density_at_zero)
     assert abs(density_at_zero - 304) / 304 < 0.15

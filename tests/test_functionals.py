@@ -22,7 +22,6 @@ from countmix import (
     plugin,
     sample,
     true_value,
-    unseen_plugin,
 )
 
 
@@ -109,9 +108,6 @@ def test_bounds_clamp_reported_value():
     pi = MixingDistribution.point_mass(1.0)
     report = plugin(FunctionalSpec.entropy(), pi, 4)
     assert 0.0 <= report.value <= math.log(4)
-    spec = FunctionalSpec("entropy", bounds=(0.5, 0.6))
-    report = plugin(spec, pi, 4)
-    assert report.value == 0.5  # raw 0 clamped up to the declared lower bound
 
 
 # --------------------------------------------------------- bias correction
@@ -233,11 +229,12 @@ def test_good_turing_alternating_blowup_at_large_t():
 
 
 def test_unseen_plugin_closed_forms():
-    assert unseen_plugin(MixingDistribution.point_mass(0.0), 5, 9, 1.0).value == 0.0
+    spec = FunctionalSpec.unseen(1.0)
+    assert plugin(spec, MixingDistribution.point_mass(0.0), 5, 9).value == 0.0
     n = 7
     pi = MixingDistribution.point_mass(1.0 / n)
     expected = math.exp(-1) * (1 - math.exp(-1))
-    assert unseen_plugin(pi, 1, n, 1.0).value == pytest.approx(expected, rel=1e-12)
+    assert plugin(spec, pi, 1, n).value == pytest.approx(expected, rel=1e-12)
 
 
 def test_discovery_curve_monotone_in_horizon():
@@ -294,7 +291,7 @@ def test_support_size_estimate_uses_constrained_grid():
     dist = make_distribution("uniform", 50)
     counts = sample(dist, "multinomial", 2000, rng(10))
     report = estimate(counts, FunctionalSpec.support_size(), "plugin")
-    fit = report.diagnostics
+    fit = report.fit
     min_mass = 1.0 / counts.k
     inside = (fit.grid.atoms > 0) & (fit.grid.atoms < min_mass)
     assert not inside.any()
@@ -314,3 +311,8 @@ def test_true_value_matches_direct_formulas():
     n, t = 11, 2.0
     expected = float(np.sum(np.exp(-n * p) * (1 - np.exp(-t * n * p))))
     assert true_value(dist, FunctionalSpec.unseen(t), n=n) == pytest.approx(expected)
+    assert true_value(dist, FunctionalSpec.renyi(2.0)) == pytest.approx(
+        -math.log(float(np.sum(p**2)))
+    )
+    with pytest.raises(DomainError):
+        true_value(dist, FunctionalSpec.unseen(t))

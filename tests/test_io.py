@@ -106,15 +106,14 @@ def test_point_mass_fit_document():
 
 def test_report_serialization_validates():
     jsonschema = pytest.importorskip("jsonschema")
-    from countmix import FunctionalSpec, empirical_plugin, gof_test, Fingerprint
+    from countmix import FunctionalSpec, empirical_plugin, gof_test
 
     counts = CountData([1, 1, 3, 0], n=5)
     est = empirical_plugin(counts, FunctionalSpec.entropy())
     doc = json.loads(write_report(est))
     jsonschema.validate(doc, REPORT_SCHEMAS["estimate"])
 
-    fp = Fingerprint.from_counts(counts)
-    gof = gof_test(fp, "p-model", T=3)
+    gof = gof_test(counts, "p-model", T=3)
     doc = json.loads(write_report(gof))
     jsonschema.validate(doc, REPORT_SCHEMAS["gof"])
 

@@ -7,7 +7,6 @@ from countmix import (
     CountData,
     DomainError,
     FitError,
-    Fingerprint,
     Grid,
     MixingDistribution,
     MixtureKernel,
@@ -228,7 +227,7 @@ def test_geometric_fingerprint_at_k_1e6_certifies():
     # Fingerprint of a geometric draw with k = n = 1e6: eleven distinct counts.
     phi = {0: 382807, 1: 352906, 2: 176954, 3: 63223, 4: 18457, 5: 4512,
            6: 906, 7: 193, 8: 38, 9: 2, 10: 2}
-    counts = Fingerprint(phi).to_counts(n=1_000_000)
+    counts = CountData(np.repeat(list(phi), list(phi.values())), n=1_000_000)
     kernel = MixtureKernel.poisson(counts.n)
     fit = fit_npmle(counts, kernel=kernel)
     assert fit.converged

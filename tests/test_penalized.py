@@ -139,3 +139,11 @@ def test_search_ceiling_raises():
     counts = CountData([1, 1, 1, 1], n=400)
     with pytest.raises(FitError):
         fit_penalized(counts, k_max_factor=1.0 + 1e-9)
+
+
+@pytest.mark.parametrize("factor", [0.5, 1.0])
+def test_search_ceiling_at_or_below_k_rejected(factor):
+    # a ceiling at or below k leaves no bracket to search
+    counts = CountData([1, 1, 1, 1], n=400)
+    with pytest.raises(DomainError):
+        fit_penalized(counts, k_max_factor=factor)
