@@ -39,10 +39,9 @@ from .functionals import (
     miller_madow,
     plugin,
 )
-from .kernels import log_pmf, mixture_log_density, pmf_matrix, pmf_truncation_point
+from .kernels import log_pmf, mixture_log_density, pmf_truncation_point
 from .npmle import (
     FitResult,
-    LocalizedConfig,
     LocalizedFit,
     PenalizedFitResult,
     build_grid,

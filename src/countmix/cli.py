@@ -12,38 +12,43 @@ import csv
 import io as _io
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import io as cmio
 from .base import CountData, DomainError, FitError, MixtureKernel, ParseError
 from .evaluate import gof_test
-from .functionals import FunctionalSpec, discovery_curve, estimate, good_turing_unseen
-from .npmle import (
-    LocalizedConfig,
-    build_grid,
-    fit_localized,
-    fit_npmle,
-    fit_penalized,
+from .functionals import (
+    METHODS,
+    FunctionalSpec,
+    discovery_curve,
+    estimate,
+    good_turing_unseen,
 )
+from .npmle import build_grid, fit_localized, fit_npmle, fit_penalized
 from .sim import config_from_json, report_to_csv, report_to_json, run_experiment
 
 USAGE_ERROR = 2
 COMPUTE_ERROR = 1
 
 
-def _add_common(parser: argparse.ArgumentParser, needs_input: bool = True) -> None:
-    if needs_input:
-        parser.add_argument("--input", required=True, help="count file (raw or fingerprint)")
-    parser.add_argument("--n", type=int, default=None, help="override the concentration")
-    parser.add_argument("--k", type=int, default=None, help="override the alphabet size")
-    parser.add_argument("--grid-size", type=int, default=None, help="number of grid atoms")
-    parser.add_argument(
-        "--kernel", choices=("poisson", "binomial"), default="poisson"
-    )
-    parser.add_argument("--tol", type=float, default=1e-6, help="certificate tolerance")
-    parser.add_argument("--seed", type=int, default=0, help="random seed (simulation only)")
-    parser.add_argument("--output", default=None, help="output path (default stdout)")
-    parser.add_argument("--format", choices=("json", "csv"), default="json")
+# Every flag that more than one subcommand takes; each subcommand registers
+# only the ones its handler reads.
+_FLAGS = {
+    "--input": dict(required=True, help="count file (raw or fingerprint)"),
+    "--n": dict(type=int, default=None, help="override the concentration"),
+    "--k": dict(type=int, default=None, help="override the alphabet size"),
+    "--grid-size": dict(type=int, default=None, help="number of grid atoms"),
+    "--kernel": dict(choices=("poisson", "binomial"), default="poisson"),
+    "--tol": dict(type=float, default=1e-6, help="certificate tolerance"),
+    "--output": dict(default=None, help="output path (default stdout)"),
+    "--format": dict(choices=("json", "csv"), default="json"),
+}
+
+
+def _add_flags(parser: argparse.ArgumentParser, flags: str) -> None:
+    for flag in flags.split():
+        parser.add_argument(flag, **_FLAGS[flag])
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -55,42 +60,39 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("fit", help="fit the mixing distribution")
-    _add_common(p)
+    _add_flags(p, "--input --n --k --grid-size --kernel --tol --output")
 
     p = sub.add_parser("estimate", help="estimate a symmetric functional")
-    _add_common(p)
+    _add_flags(p, "--input --n --k --grid-size --kernel --tol --output --format")
     p.add_argument(
         "--functional",
         required=True,
         help="entropy | power-sum:ALPHA | renyi:ALPHA | support:MINMASS | unseen:T",
     )
-    p.add_argument(
-        "--method",
-        required=True,
-        choices=("plugin", "localized", "empirical", "miller-madow", "good-turing"),
-    )
+    p.add_argument("--method", required=True, choices=METHODS)
 
     p = sub.add_parser("localized", help="fit on the small-rate cells only")
-    _add_common(p)
+    _add_flags(p, "--input --n --k --grid-size --kernel --tol --output")
     p.add_argument("--kappa", type=float, default=3.6, help="threshold multiplier")
 
     p = sub.add_parser("penalized", help="joint support-size and mixing fit")
-    _add_common(p)
+    _add_flags(p, "--input --n --grid-size --kernel --tol --output --format")
     p.add_argument("--c0", type=float, default=10.0, help="tie-break regularizer scale")
     p.add_argument("--c1", type=float, default=1.0, help="tie-break regularizer exponent")
 
     p = sub.add_parser("gof", help="chi-squared goodness of fit")
-    _add_common(p)
+    _add_flags(p, "--input --n --k --grid-size --tol --output --format")
     p.add_argument("--T", type=int, required=True, help="count truncation level")
     p.add_argument("--model", choices=("mixture", "p-model"), required=True)
 
     p = sub.add_parser("unseen", help="discovery curve of new categories")
-    _add_common(p)
+    _add_flags(p, "--input --n --k --grid-size --kernel --tol --output --format")
     p.add_argument("--t-grid", required=True, help="comma-separated horizons, e.g. 0.5,1,2,4")
     p.add_argument("--method", choices=("plugin", "good-turing"), default="plugin")
 
     p = sub.add_parser("simulate", help="run a Monte-Carlo experiment")
-    _add_common(p, needs_input=False)
+    p.add_argument("--seed", type=int, default=None, help="override the config's seed")
+    _add_flags(p, "--output --format")
     p.add_argument("--config", required=True, help="experiment description (JSON)")
 
     return parser
@@ -98,11 +100,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load_counts(args) -> CountData:
     data = cmio.read_counts(args.input)
-    if args.n is not None or args.k is not None:
+    k = getattr(args, "k", None)  # penalized selects k itself and has no --k
+    if args.n is not None or k is not None:
         data = CountData(
             data.counts,
             n=args.n if args.n is not None else data.n,
-            k=args.k if args.k is not None else data.k,
+            k=k if k is not None else data.k,
             tail=data.tail,
         )
     return data
@@ -173,10 +176,10 @@ def _cmd_localized(args) -> str:
     counts = _load_counts(args)
     loc = fit_localized(
         counts,
-        LocalizedConfig(kappa=args.kappa),
         kernel=_kernel_for(args, counts),
         m=args.grid_size,
         tol=args.tol,
+        kappa=args.kappa,
     )
     doc = {
         "v": 1,
@@ -238,9 +241,7 @@ def _cmd_unseen(args) -> str:
 def _cmd_simulate(args) -> str:
     config_text = Path(args.config).read_text(encoding="utf-8")
     config = config_from_json(config_text)
-    if args.seed:
-        from dataclasses import replace
-
+    if args.seed is not None:
         config = replace(config, seed=args.seed)
     report = run_experiment(config)
     if args.format == "csv":

@@ -20,7 +20,6 @@ from .base import CountData, DomainError, MixingDistribution
 from .npmle import (
     DEFAULT_TOL,
     FitResult,
-    LocalizedConfig,
     LocalizedFit,
     build_grid,
     fit_localized,
@@ -312,7 +311,6 @@ def estimate(
     kernel=None,
     m: Optional[int] = None,
     tol: float = DEFAULT_TOL,
-    localized_config: Optional[LocalizedConfig] = None,
 ) -> EstimateReport:
     """One-stop estimation routing to the requested method.
 
@@ -329,7 +327,7 @@ def estimate(
         fit = fit_npmle(counts, grid, kernel, tol)
         return plugin(spec, fit.mixing, counts.k, counts.n, fit=fit)
     if method == "localized":
-        loc = fit_localized(counts, localized_config, kernel, m, tol, min_mass=min_mass)
+        loc = fit_localized(counts, kernel, m, tol, min_mass=min_mass)
         return estimate_combined(counts, spec, loc)
     if method == "empirical":
         return empirical_plugin(counts, spec)

@@ -13,12 +13,11 @@ import math
 import numpy as np
 from scipy.special import gammaln, logsumexp, xlog1py, xlogy
 
-from .base import CountData, DomainError, Grid, MixingDistribution, MixtureKernel
+from .base import DomainError, MixingDistribution, MixtureKernel
 
 __all__ = [
     "log_pmf",
     "mixture_log_density",
-    "pmf_matrix",
     "pmf_truncation_point",
 ]
 
@@ -64,18 +63,6 @@ def mixture_log_density(kernel: MixtureKernel, mixing: MixingDistribution, x):
     if np.ndim(out) == 0:
         return float(out)
     return np.asarray(out)
-
-
-def pmf_matrix(kernel: MixtureKernel, counts: CountData, grid: Grid) -> np.ndarray:
-    """Log pmf matrix over the distinct count values and the grid atoms.
-
-    Row i corresponds to the i-th distinct count value of ``counts`` (see
-    ``CountData.unique_with_multiplicity``), column j to grid atom r_j.
-    Duplicate counts are collapsed into one row each, so downstream sums
-    weight rows by multiplicity instead of repeating identical work.
-    """
-    values, _ = counts.unique_with_multiplicity()
-    return log_pmf(kernel, values[:, None].astype(float), grid.atoms[None, :])
 
 
 def pmf_truncation_point(kernel: MixtureKernel, r: float = 1.0) -> int:

@@ -43,7 +43,6 @@ from .kernels import log_pmf, mixture_log_density
 
 __all__ = [
     "FitResult",
-    "LocalizedConfig",
     "LocalizedFit",
     "PenalizedFitResult",
     "build_grid",
@@ -81,22 +80,6 @@ class FitResult:
     iterations: int
     converged: bool
     grid: Grid
-
-
-@dataclass(frozen=True)
-class LocalizedConfig:
-    """Small-rate localization rule: keep cells with p-hat <= kappa log(n)/n.
-
-    ``split_counts`` optionally supplies an independent sample used only for
-    the thresholding; the fit itself always uses the primary counts.
-    """
-
-    kappa: float = 3.6
-    split_counts: Optional[CountData] = None
-
-    def __post_init__(self):
-        if self.kappa <= 0:
-            raise DomainError("kappa must be positive")
 
 
 @dataclass(frozen=True)
@@ -359,25 +342,27 @@ def certificate(
 
 def fit_localized(
     counts: CountData,
-    config: Optional[LocalizedConfig] = None,
     kernel: Optional[MixtureKernel] = None,
     m: Optional[int] = None,
     tol: float = DEFAULT_TOL,
     min_mass: Optional[float] = None,
+    *,
+    kappa: float = 3.6,
+    split_counts: Optional[CountData] = None,
 ) -> LocalizedFit:
     """Fit restricted to cells whose empirical rate is below kappa log(n)/n.
 
     The grid of the sub-fit is capped at the same threshold.  When
-    ``config.split_counts`` is present its rates decide the partition (an
-    independent-sample split); otherwise the counts threshold themselves.
+    ``split_counts`` is given its rates decide the partition (an
+    independent-sample split); the fit itself always uses ``counts``.
     """
-    if config is None:
-        config = LocalizedConfig()
+    if kappa <= 0:
+        raise DomainError("kappa must be positive")
     n = counts.n
     if n < 2:
         raise DomainError("localization requires n >= 2")
-    threshold = config.kappa * math.log(n) / n
-    ref = config.split_counts if config.split_counts is not None else counts
+    threshold = kappa * math.log(n) / n
+    ref = split_counts if split_counts is not None else counts
     if ref.counts.size != counts.counts.size or ref.k != counts.k:
         raise DomainError("split counts must align with the primary counts")
     small_mask = (ref.counts / ref.n) <= threshold

@@ -20,7 +20,7 @@ import numpy as np
 
 from .base import CountData, DomainError, MixingDistribution
 from .evaluate import wasserstein
-from .functionals import FunctionalSpec, estimate, g_eval
+from .functionals import METHODS, FunctionalSpec, estimate, g_eval
 from .npmle import DEFAULT_TOL, fit_npmle
 
 __all__ = [
@@ -51,8 +51,6 @@ DISTRIBUTION_KINDS = (
 )
 
 SAMPLING_SCHEMES = ("multinomial", "poisson")
-
-ESTIMATORS = ("empirical", "miller-madow", "plugin", "localized", "good-turing")
 
 PROB_SUM_TOL = 1e-12
 
@@ -181,7 +179,7 @@ class ExperimentConfig:
         if self.sampling not in SAMPLING_SCHEMES:
             raise DomainError(f"unknown sampling scheme {self.sampling!r}")
         for name in self.estimators:
-            if name not in ESTIMATORS:
+            if name not in METHODS:
                 raise DomainError(f"unknown estimator {name!r}")
         if self.pad_k is not None and self.pad_k < self.distribution.k:
             raise DomainError("pad_k must be at least the true support size")

@@ -28,6 +28,7 @@ from countmix import (
     gof_test,
     good_turing_unseen,
     discovery_curve,
+    log_pmf,
     make_distribution,
     mixture_log_density,
     sample,
@@ -37,7 +38,6 @@ from countmix import (
     wasserstein,
 )
 from countmix.io import read_counts
-from countmix.kernels import pmf_matrix
 
 TOL = 1e-6
 KINDS = ("uniform", "two_mixed_uniform", "spike_and_uniform", "geometric", "log_series", "zipf")
@@ -144,8 +144,8 @@ def brute_force_loglik(counts, grid, kernel, resolution=1e-3):
     With at most three distinct counts the optimum needs few atoms; the
     3-atom sub-simplices cover all 1- and 2-atom weightings on their faces.
     """
-    _, mult = counts.unique_with_multiplicity()
-    A = np.exp(pmf_matrix(kernel, counts, grid))
+    values, mult = counts.unique_with_multiplicity()
+    A = np.exp(log_pmf(kernel, values[:, None].astype(float), grid.atoms[None, :]))
     steps = int(round(1.0 / resolution))
     best = -math.inf
     for support in combinations(range(A.shape[1]), 3):

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -149,6 +150,32 @@ def test_simulate_runs_config(capsys, tmp_path):
     assert out.splitlines()[0].startswith("estimator,")
 
 
+def test_simulate_seed_flag_overrides_config_seed(capsys, tmp_path):
+    config = {
+        "distribution": {"kind": "uniform", "k": 20},
+        "sampling": "multinomial",
+        "n_list": [50],
+        "trials": 2,
+        "estimators": ["empirical"],
+        "seed": 3,
+    }
+    path = tmp_path / "seed3.json"
+    path.write_text(json.dumps(config))
+    zero = tmp_path / "seed0.json"
+    zero.write_text(json.dumps(dict(config, seed=0)))
+    _, flagged, _ = run(capsys, ["simulate", "--config", str(path), "--seed", "0"])
+    _, expected, _ = run(capsys, ["simulate", "--config", str(zero)])
+    _, unflagged, _ = run(capsys, ["simulate", "--config", str(path)])
+    assert flagged == expected
+    assert flagged != unflagged
+
+
+def test_localized_nonpositive_kappa_exit_code_1(capsys, raw_file):
+    code, out, err = run(capsys, ["localized", "--input", raw_file, "--kappa", "0"])
+    assert code == 1 and out == ""
+    assert "kappa must be positive" in err and "\n" not in err.strip()
+
+
 def test_output_flag_writes_file(capsys, raw_file, tmp_path):
     target = tmp_path / "fit.json"
     code, out, _ = run(capsys, ["fit", "--input", raw_file, "--output", str(target)])
@@ -178,6 +205,37 @@ def test_binomial_kernel_flag(capsys, raw_file):
     assert json.loads(out)["converged"] is True
 
 
+# The flags each subcommand shares with others; its own flags are ``extra``.
+SHARED = {
+    "fit": "--input --n --k --grid-size --kernel --tol --output",
+    "estimate": "--input --n --k --grid-size --kernel --tol --output --format",
+    "localized": "--input --n --k --grid-size --kernel --tol --output",
+    "penalized": "--input --n --grid-size --kernel --tol --output --format",
+    "gof": "--input --n --k --grid-size --tol --output --format",
+    "unseen": "--input --n --k --grid-size --kernel --tol --output --format",
+    "simulate": "--output --format",
+}
+
+# Flags a subcommand used to accept and ignore, each with the value it took.
+DROPPED = [
+    ("fit", "--seed", "1"),
+    ("fit", "--format", "csv"),
+    ("localized", "--seed", "1"),
+    ("localized", "--format", "csv"),
+    ("estimate", "--seed", "1"),
+    ("unseen", "--seed", "1"),
+    ("penalized", "--seed", "1"),
+    ("penalized", "--k", "4"),
+    ("gof", "--seed", "1"),
+    ("gof", "--kernel", "binomial"),
+    ("simulate", "--n", "7"),
+    ("simulate", "--k", "4"),
+    ("simulate", "--grid-size", "3"),
+    ("simulate", "--kernel", "binomial"),
+    ("simulate", "--tol", "1e-3"),
+]
+
+
 @pytest.mark.parametrize(
     "command,extra",
     [
@@ -187,19 +245,34 @@ def test_binomial_kernel_flag(capsys, raw_file):
         ("penalized", ["--c0", "--c1"]),
         ("gof", ["--T", "--model"]),
         ("unseen", ["--t-grid", "--method"]),
-        ("simulate", ["--config"]),
+        ("simulate", ["--seed", "--config"]),
     ],
 )
 def test_help_lists_every_flag(capsys, command, extra):
-    shared = ["--n", "--k", "--grid-size", "--kernel", "--tol", "--seed", "--output", "--format"]
-    if command != "simulate":
-        shared.append("--input")
     with pytest.raises(SystemExit) as exc:
         main([command, "--help"])
     assert exc.value.code == 0
     text = capsys.readouterr().out
-    for flag in shared + extra:
-        assert flag in text, (command, flag)
+    listed = set(re.findall(r"(?:^|[\s\[])(--?[A-Za-z][\w-]*)", text))
+    assert listed == {"-h", "--help", *SHARED[command].split(), *extra}
+    assert not listed & {flag for cmd, flag, _ in DROPPED if cmd == command}
+
+
+@pytest.mark.parametrize("command,flag,value", DROPPED)
+def test_dropped_flag_is_a_usage_error(capsys, raw_file, tmp_path, command, flag, value):
+    required = {
+        "fit": ["--input", raw_file],
+        "localized": ["--input", raw_file],
+        "estimate": ["--input", raw_file, "--functional", "entropy", "--method", "empirical"],
+        "unseen": ["--input", raw_file, "--t-grid", "1"],
+        "penalized": ["--input", raw_file],
+        "gof": ["--input", raw_file, "--T", "3", "--model", "mixture"],
+        "simulate": ["--config", str(tmp_path / "config.json")],
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *required, flag, value])
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():

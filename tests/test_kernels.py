@@ -13,7 +13,6 @@ from countmix import (
     MixtureKernel,
     log_pmf,
     mixture_log_density,
-    pmf_matrix,
     pmf_truncation_point,
 )
 
@@ -107,24 +106,24 @@ def test_mixture_density_linear_in_weights(lam, x, data):
     assert f_mix == pytest.approx(f_sep, rel=1e-12, abs=1e-300)
 
 
-def test_pmf_matrix_deduplicates_counts():
+def test_unique_counts_collapse_and_zero_rate_log_pmf():
     counts = CountData([0, 0, 3], n=2)
     grid = Grid(np.array([0.0, 0.5]))
     kern = MixtureKernel.poisson(2)
-    matrix = pmf_matrix(kern, counts, grid)
-    assert matrix.shape == (2, 2)
     values, mult = counts.unique_with_multiplicity()
     assert values.tolist() == [0, 3]
     assert mult.tolist() == [2.0, 1.0]
+    matrix = log_pmf(kern, values[:, None].astype(float), grid.atoms[None, :])
+    assert matrix.shape == (2, 2)
     assert matrix[0, 0] == 0.0  # count 0 at rate 0 has log-probability 0
 
 
-def test_pmf_matrix_matches_elementwise_evaluation():
+def test_broadcast_log_pmf_matches_elementwise_evaluation():
     counts = CountData([1, 4, 7], n=9)
     grid = Grid(np.array([0.1, 0.4, 0.9]))
     kern = MixtureKernel.poisson(9)
-    matrix = pmf_matrix(kern, counts, grid)
     values, _ = counts.unique_with_multiplicity()
+    matrix = log_pmf(kern, values[:, None].astype(float), grid.atoms[None, :])
     for i, v in enumerate(values):
         for j, r in enumerate(grid.atoms):
             assert matrix[i, j] == pytest.approx(log_pmf(kern, int(v), float(r)), abs=1e-13)

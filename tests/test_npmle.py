@@ -16,10 +16,10 @@ from countmix import (
     fit_localized,
     fit_npmle,
     log_likelihood,
+    log_pmf,
     mixture_log_density,
     sample,
     make_distribution,
-    LocalizedConfig,
 )
 
 
@@ -97,9 +97,7 @@ def test_all_zero_counts_fit_is_point_mass_at_zero():
 def brute_force_best(counts, grid, kernel, resolution=1e-3):
     """Exhaustive search over three-atom sub-simplices of the grid."""
     values, mult = counts.unique_with_multiplicity()
-    from countmix import pmf_matrix
-
-    A = np.exp(pmf_matrix(kernel, counts, grid))
+    A = np.exp(log_pmf(kernel, values[:, None].astype(float), grid.atoms[None, :]))
     m = A.shape[1]
     steps = int(round(1.0 / resolution))
     best = -math.inf
@@ -308,8 +306,15 @@ def test_localized_partition_matches_threshold():
 def test_localized_split_sample_controls_partition():
     counts = CountData([0, 100, 3], n=200)
     split = CountData([150, 0, 0], n=200)
-    loc = fit_localized(counts, LocalizedConfig(split_counts=split))
+    loc = fit_localized(counts, split_counts=split)
     # the first cell is excluded by the split sample even though its own count is small
     assert loc.small_mask.tolist() == [False, True, True]
     assert loc.large_counts.tolist() == [0]
     assert 100 in counts.counts[loc.small_mask]
+
+
+def test_localized_rejects_nonpositive_kappa():
+    counts = CountData([0, 100, 3], n=200)
+    for kappa in (0.0, -1.0):
+        with pytest.raises(DomainError, match="kappa"):
+            fit_localized(counts, kappa=kappa)
