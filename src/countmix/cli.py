@@ -54,15 +54,16 @@ def _add_flags(parser: argparse.ArgumentParser, flags: str) -> None:
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="countmix",
+        allow_abbrev=False,
         description="Mixture modeling of frequency counts: fitting, functional "
         "estimation, goodness of fit, and simulation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("fit", help="fit the mixing distribution")
+    p = sub.add_parser("fit", help="fit the mixing distribution", allow_abbrev=False)
     _add_flags(p, "--input --n --k --grid-size --kernel --tol --output")
 
-    p = sub.add_parser("estimate", help="estimate a symmetric functional")
+    p = sub.add_parser("estimate", help="estimate a symmetric functional", allow_abbrev=False)
     _add_flags(p, "--input --n --k --grid-size --kernel --tol --output --format")
     p.add_argument(
         "--functional",
@@ -71,26 +72,26 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--method", required=True, choices=METHODS)
 
-    p = sub.add_parser("localized", help="fit on the small-rate cells only")
+    p = sub.add_parser("localized", help="fit on the small-rate cells only", allow_abbrev=False)
     _add_flags(p, "--input --n --k --grid-size --kernel --tol --output")
     p.add_argument("--kappa", type=float, default=3.6, help="threshold multiplier")
 
-    p = sub.add_parser("penalized", help="joint support-size and mixing fit")
+    p = sub.add_parser("penalized", help="joint support-size and mixing fit", allow_abbrev=False)
     _add_flags(p, "--input --n --grid-size --kernel --tol --output --format")
     p.add_argument("--c0", type=float, default=10.0, help="tie-break regularizer scale")
     p.add_argument("--c1", type=float, default=1.0, help="tie-break regularizer exponent")
 
-    p = sub.add_parser("gof", help="chi-squared goodness of fit")
-    _add_flags(p, "--input --n --k --grid-size --tol --output --format")
+    p = sub.add_parser("gof", help="chi-squared goodness of fit", allow_abbrev=False)
+    _add_flags(p, "--input --k --grid-size --tol --output --format")
     p.add_argument("--T", type=int, required=True, help="count truncation level")
     p.add_argument("--model", choices=("mixture", "p-model"), required=True)
 
-    p = sub.add_parser("unseen", help="discovery curve of new categories")
+    p = sub.add_parser("unseen", help="discovery curve of new categories", allow_abbrev=False)
     _add_flags(p, "--input --n --k --grid-size --kernel --tol --output --format")
     p.add_argument("--t-grid", required=True, help="comma-separated horizons, e.g. 0.5,1,2,4")
     p.add_argument("--method", choices=("plugin", "good-turing"), default="plugin")
 
-    p = sub.add_parser("simulate", help="run a Monte-Carlo experiment")
+    p = sub.add_parser("simulate", help="run a Monte-Carlo experiment", allow_abbrev=False)
     p.add_argument("--seed", type=int, default=None, help="override the config's seed")
     _add_flags(p, "--output --format")
     p.add_argument("--config", required=True, help="experiment description (JSON)")
@@ -100,11 +101,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load_counts(args) -> CountData:
     data = cmio.read_counts(args.input)
-    k = getattr(args, "k", None)  # penalized selects k itself and has no --k
-    if args.n is not None or k is not None:
+    # penalized selects k itself (no --k); gof fits with n = its retained mass (no --n)
+    n, k = getattr(args, "n", None), getattr(args, "k", None)
+    if n is not None or k is not None:
         data = CountData(
             data.counts,
-            n=args.n if args.n is not None else data.n,
+            n=n if n is not None else data.n,
             k=k if k is not None else data.k,
             tail=data.tail,
         )

@@ -304,8 +304,6 @@ def fit_npmle(
         raise DomainError("tol must be positive")
     if kernel is None:
         kernel = MixtureKernel.poisson(counts.n)
-    if kernel.family == "binomial" and counts.max_count() > kernel.n:
-        raise DomainError("binomial count exceeds the number of trials")
     if grid is None:
         grid = build_grid(counts)
     values, mult = counts.unique_with_multiplicity()
@@ -322,21 +320,13 @@ def certificate(
     checks the solver's answer rather than repeating its internal state.
     """
     values, mult = counts.unique_with_multiplicity()
-    ktot = mult.sum()
-    with np.errstate(divide="ignore"):
-        logw = np.log(fit.mixing.weights)
-    logq_mix = np.atleast_2d(
-        log_pmf(kernel, values[:, None].astype(float), fit.mixing.atoms[None, :])
-    )
-    shifted = logq_mix + logw[None, :]
-    rowmax = shifted.max(axis=1)
-    if not np.all(np.isfinite(rowmax[mult > 0])):
+    logf = np.atleast_1d(mixture_log_density(kernel, fit.mixing, values.astype(float)))
+    if not np.all(np.isfinite(logf[mult > 0])):
         raise FitError("mixture density vanishes at an observed count")
-    logf = rowmax + np.log(np.exp(shifted - rowmax[:, None]).sum(axis=1))
     logq_grid = np.atleast_2d(
         log_pmf(kernel, values[:, None].astype(float), grid.atoms[None, :])
     )
-    per_atom = np.einsum("i,ij->j", mult / ktot, np.exp(logq_grid - logf[:, None]))
+    per_atom = np.einsum("i,ij->j", mult / mult.sum(), np.exp(logq_grid - logf[:, None]))
     return max(float(per_atom.max() - 1.0), 0.0)
 
 

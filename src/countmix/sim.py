@@ -57,11 +57,12 @@ PROB_SUM_TOL = 1e-12
 
 @dataclass(frozen=True)
 class TrueDistribution:
-    """A ground-truth probability vector over k categories."""
+    """A ground-truth probability vector over k categories (``s``: Zipf exponent)."""
 
     kind: str
     k: int
     probs: np.ndarray
+    s: Optional[float] = None
 
     def __post_init__(self):
         probs = np.asarray(self.probs, dtype=float)
@@ -120,7 +121,7 @@ def make_distribution(
     else:
         p = i**-s
         p /= p.sum()
-    return TrueDistribution(kind, k, p)
+    return TrueDistribution(kind, k, p, s=float(s) if kind == "zipf" else None)
 
 
 def histogram_distribution(dist: TrueDistribution) -> MixingDistribution:
@@ -308,6 +309,8 @@ def _config_to_dict(config: ExperimentConfig) -> dict:
     dist = {"kind": config.distribution.kind, "k": config.distribution.k}
     if config.distribution.kind == "custom":
         dist["probs"] = config.distribution.probs.tolist()
+    if config.distribution.s is not None:
+        dist["s"] = config.distribution.s
     spec = {"kind": config.functional.kind}
     for name in ("alpha", "min_mass", "horizon"):
         value = getattr(config.functional, name)
@@ -327,37 +330,53 @@ def _config_to_dict(config: ExperimentConfig) -> dict:
     }
 
 
+_REQUIRED = object()
+_NUMBER = (int, float)
+
+
+def _read(doc, key: str, kind, default=_REQUIRED):
+    """``doc[key]``, checked to be of JSON type ``kind``; a missing key or a
+    wrong type is a DomainError naming ``key``.  Null stands for a None default."""
+    if not isinstance(doc, dict):
+        raise DomainError(f"config: expected a JSON object holding {key!r}")
+    if key not in doc or (doc[key] is None and default is None):
+        if default is _REQUIRED:
+            raise DomainError(f"config: missing key {key!r}")
+        return default
+    if not isinstance(doc[key], kind):
+        raise DomainError(f"config: wrong type for {key!r}: {doc[key]!r}")
+    return doc[key]
+
+
 def config_from_json(text: str) -> ExperimentConfig:
     """Parse an experiment description from its JSON form."""
     doc = json.loads(text)
-    dist_doc = doc["distribution"]
+    dist_doc = _read(doc, "distribution", dict)
+    probs = _read(dist_doc, "probs", list, None)
     dist = make_distribution(
-        dist_doc["kind"],
-        int(dist_doc.get("k", len(dist_doc.get("probs", [])))),
-        s=float(dist_doc.get("s", 1.0)),
-        probs=dist_doc.get("probs"),
+        _read(dist_doc, "kind", str),
+        _read(dist_doc, "k", int, len(probs or ())),
+        s=float(_read(dist_doc, "s", _NUMBER, 1.0)),
+        probs=probs,
     )
-    spec_doc = doc.get("functional", "entropy")
+    spec_doc = _read(doc, "functional", (str, dict), "entropy")
     if isinstance(spec_doc, str):
-        spec = FunctionalSpec(spec_doc)
-    else:
-        spec = FunctionalSpec(
-            spec_doc["kind"],
-            alpha=spec_doc.get("alpha"),
-            min_mass=spec_doc.get("min_mass"),
-            horizon=spec_doc.get("horizon"),
-        )
+        spec_doc = {"kind": spec_doc}
+    spec = FunctionalSpec(
+        _read(spec_doc, "kind", str),
+        **{name: spec_doc.get(name) for name in ("alpha", "min_mass", "horizon")},
+    )
     return ExperimentConfig(
         distribution=dist,
-        sampling=doc["sampling"],
-        n_list=tuple(doc["n_list"]),
-        trials=int(doc["trials"]),
-        estimators=tuple(doc["estimators"]),
-        seed=int(doc["seed"]),
+        sampling=_read(doc, "sampling", str),
+        n_list=_read(doc, "n_list", list),
+        trials=_read(doc, "trials", int),
+        estimators=_read(doc, "estimators", list),
+        seed=_read(doc, "seed", int),
         functional=spec,
-        pad_k=doc.get("pad_k"),
-        grid_size=doc.get("grid_size"),
-        tol=float(doc.get("tol", DEFAULT_TOL)),
+        pad_k=_read(doc, "pad_k", int, None),
+        grid_size=_read(doc, "grid_size", int, None),
+        tol=float(_read(doc, "tol", _NUMBER, DEFAULT_TOL)),
     )
 
 

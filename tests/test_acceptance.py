@@ -18,25 +18,23 @@ import importlib.resources as res
 from countmix import (
     CountData,
     FunctionalSpec,
-    Grid,
     MixingDistribution,
     MixtureKernel,
-    certificate,
     estimate,
     fit_npmle,
     fit_penalized,
     gof_test,
-    good_turing_unseen,
-    discovery_curve,
-    log_pmf,
     make_distribution,
-    mixture_log_density,
     sample,
     scaled_kl_profile,
-    true_value,
     w1_curve,
-    wasserstein,
 )
+from countmix.base import Grid
+from countmix.evaluate import wasserstein
+from countmix.functionals import discovery_curve, good_turing_unseen
+from countmix.kernels import log_pmf, mixture_log_density
+from countmix.npmle import certificate
+from countmix.sim import true_value
 from countmix.io import read_counts
 
 TOL = 1e-6
@@ -345,7 +343,7 @@ def test_criterion_9_identity_suite():
 
     # (c) Renyi through the power sum
     pi = MixingDistribution(np.array([0.002, 0.03]), np.array([0.6, 0.4]))
-    from countmix import plugin
+    from countmix.functionals import plugin
 
     alpha, kk = 0.5, 40
     renyi = plugin(FunctionalSpec.renyi(alpha), pi, kk)

@@ -170,6 +170,21 @@ def test_simulate_seed_flag_overrides_config_seed(capsys, tmp_path):
     assert flagged != unflagged
 
 
+def test_simulate_malformed_config_exit_code_1(capsys, tmp_path):
+    path = tmp_path / "empty.json"
+    path.write_text("{}")
+    code, out, err = run(capsys, ["simulate", "--config", str(path)])
+    assert code == 1 and out == ""
+    assert err.startswith("countmix simulate: error:") and "\n" not in err.strip()
+    assert "'distribution'" in err
+
+
+def test_binomial_count_above_trials_exit_code_1(capsys, raw_file):
+    code, out, err = run(capsys, ["fit", "--input", raw_file, "--kernel", "binomial", "--n", "5"])
+    assert code == 1 and out == ""
+    assert err.strip() == "countmix fit: error: binomial count exceeds the number of trials"
+
+
 def test_localized_nonpositive_kappa_exit_code_1(capsys, raw_file):
     code, out, err = run(capsys, ["localized", "--input", raw_file, "--kappa", "0"])
     assert code == 1 and out == ""
@@ -211,7 +226,7 @@ SHARED = {
     "estimate": "--input --n --k --grid-size --kernel --tol --output --format",
     "localized": "--input --n --k --grid-size --kernel --tol --output",
     "penalized": "--input --n --grid-size --kernel --tol --output --format",
-    "gof": "--input --n --k --grid-size --tol --output --format",
+    "gof": "--input --k --grid-size --tol --output --format",
     "unseen": "--input --n --k --grid-size --kernel --tol --output --format",
     "simulate": "--output --format",
 }
@@ -228,6 +243,7 @@ DROPPED = [
     ("penalized", "--k", "4"),
     ("gof", "--seed", "1"),
     ("gof", "--kernel", "binomial"),
+    ("gof", "--n", "7"),
     ("simulate", "--n", "7"),
     ("simulate", "--k", "4"),
     ("simulate", "--grid-size", "3"),
@@ -258,8 +274,19 @@ def test_help_lists_every_flag(capsys, command, extra):
     assert not listed & {flag for cmd, flag, _ in DROPPED if cmd == command}
 
 
-@pytest.mark.parametrize("command,flag,value", DROPPED)
+# Unique prefixes of live flags: each flag has one spelling, so none is read.
+ABBREVIATIONS = [
+    ("fit", "--kern", "binomial"),
+    ("fit", "--grid", "50"),
+    ("penalized", "--k", "binomial"),
+    ("simulate", "--conf", "config.json"),
+]
+
+
+@pytest.mark.parametrize("command,flag,value", DROPPED + ABBREVIATIONS)
 def test_dropped_flag_is_a_usage_error(capsys, raw_file, tmp_path, command, flag, value):
+    # The required flags come first, so argparse reaches the flag under test
+    # rather than stopping at a missing --input or --config.
     required = {
         "fit": ["--input", raw_file],
         "localized": ["--input", raw_file],
@@ -272,7 +299,7 @@ def test_dropped_flag_is_a_usage_error(capsys, raw_file, tmp_path, command, flag
     with pytest.raises(SystemExit) as exc:
         main([command, *required, flag, value])
     assert exc.value.code == 2
-    assert "error:" in capsys.readouterr().err
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():

@@ -3,18 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from countmix import (
-    CountData,
-    DomainError,
-    FitResult,
-    Grid,
-    MixingDistribution,
-    MixtureKernel,
-    chi2_sf,
-    gof_test,
-    hellinger,
-    wasserstein,
-)
+from countmix import CountData, DomainError, MixingDistribution, MixtureKernel, gof_test
+from countmix.base import Grid
+from countmix.evaluate import chi2_sf, hellinger, wasserstein
+from countmix.npmle import FitResult
 
 
 def rng(stream):

@@ -9,20 +9,22 @@ from countmix import (
     DomainError,
     FunctionalSpec,
     MixingDistribution,
+    estimate,
+    make_distribution,
+    sample,
+)
+from countmix.functionals import (
     bias_corrected_g,
     discovery_curve,
     empirical_plugin,
-    estimate,
     estimate_combined,
-    fit_localized,
     g_eval,
     good_turing_unseen,
-    make_distribution,
     miller_madow,
     plugin,
-    sample,
-    true_value,
 )
+from countmix.npmle import fit_localized
+from countmix.sim import true_value
 
 
 def rng(stream):

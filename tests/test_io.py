@@ -106,7 +106,8 @@ def test_point_mass_fit_document():
 
 def test_report_serialization_validates():
     jsonschema = pytest.importorskip("jsonschema")
-    from countmix import FunctionalSpec, empirical_plugin, gof_test
+    from countmix import FunctionalSpec, gof_test
+    from countmix.functionals import empirical_plugin
 
     counts = CountData([1, 1, 3, 0], n=5)
     est = empirical_plugin(counts, FunctionalSpec.entropy())

@@ -5,16 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from countmix import (
-    CountData,
-    DomainError,
-    Grid,
-    MixingDistribution,
-    MixtureKernel,
-    log_pmf,
-    mixture_log_density,
-    pmf_truncation_point,
-)
+from countmix import CountData, DomainError, MixingDistribution, MixtureKernel
+from countmix.base import Grid
+from countmix.kernels import log_pmf, mixture_log_density, pmf_truncation_point
 
 
 def test_poisson_log_pmf_closed_forms():

@@ -7,19 +7,21 @@ from countmix import (
     CountData,
     DomainError,
     FitError,
-    Grid,
     MixingDistribution,
     MixtureKernel,
+    fit_npmle,
+    make_distribution,
+    sample,
+)
+from countmix.base import Grid
+from countmix.kernels import log_pmf, mixture_log_density
+from countmix.npmle import (
+    FitResult,
     build_grid,
     certificate,
     default_grid_size,
     fit_localized,
-    fit_npmle,
     log_likelihood,
-    log_pmf,
-    mixture_log_density,
-    sample,
-    make_distribution,
 )
 
 
@@ -141,7 +143,7 @@ def test_fit_errors_on_impossible_counts():
 
 def test_binomial_count_above_trials_rejected():
     counts = CountData([12], n=10)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="binomial count exceeds the number of trials"):
         fit_npmle(counts, kernel=MixtureKernel.binomial(10))
 
 
@@ -166,8 +168,6 @@ def test_certificate_detects_perturbed_weights():
     w = fit.mixing.weights.copy()
     assert len(w) >= 2
     w[0], w[-1] = w[0] + 0.1 * w[-1], 0.9 * w[-1]
-    from countmix import FitResult
-
     perturbed = FitResult(
         mixing=MixingDistribution(fit.mixing.atoms, w),
         log_likelihood=fit.log_likelihood,
@@ -177,6 +177,13 @@ def test_certificate_detects_perturbed_weights():
         grid=grid,
     )
     assert certificate(perturbed, counts, grid, kernel) > 1e-6
+
+
+def test_certificate_rejects_a_count_the_mixture_cannot_produce():
+    grid = Grid(np.array([0.0, 0.5, 1.0]))
+    fit = fit_npmle(CountData([0, 0], n=5), grid)  # all mass at rate 0
+    with pytest.raises(FitError, match="vanishes"):
+        certificate(fit, CountData([0, 3], n=5), grid, MixtureKernel.poisson(5))
 
 
 def test_exact_single_atom_fit_has_zero_gap():

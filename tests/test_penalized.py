@@ -9,10 +9,10 @@ from countmix import (
     MixtureKernel,
     fit_penalized,
     make_distribution,
-    mixture_log_density,
     sample,
     scaled_kl_profile,
 )
+from countmix.kernels import mixture_log_density
 
 
 def rng(stream):

@@ -7,7 +7,6 @@ from countmix import (
     DomainError,
     ExperimentConfig,
     config_from_json,
-    histogram_distribution,
     make_distribution,
     report_to_csv,
     report_to_json,
@@ -15,7 +14,7 @@ from countmix import (
     sample,
     w1_curve,
 )
-from countmix.sim import resolve_threads
+from countmix.sim import histogram_distribution, resolve_threads
 
 
 def rng(stream):
@@ -175,6 +174,34 @@ def test_config_json_roundtrip():
     assert config.functional.alpha == 0.5
     report = run_experiment(config)
     assert len(report.entries) == 2
+
+
+def test_report_config_reruns_to_the_same_report():
+    config = small_config(distribution=make_distribution("zipf", 50, s=2.0))
+    text = report_to_json(run_experiment(config))
+    echoed = json.loads(text)["config"]
+    assert echoed["distribution"] == {"kind": "zipf", "k": 50, "s": 2.0}
+    assert report_to_json(run_experiment(config_from_json(json.dumps(echoed)))) == text
+
+
+@pytest.mark.parametrize(
+    "doc,key",
+    [
+        ({"sampling": "multinomial"}, "distribution"),
+        ({"distribution": 5}, "distribution"),
+        ({"distribution": {"k": 5}}, "kind"),
+        ({"distribution": {"kind": "uniform", "k": "five"}}, "k"),
+        ({"distribution": {"kind": "uniform", "k": 5}, "sampling": "poisson", "n_list": 5},
+         "n_list"),
+        ({"distribution": {"kind": "uniform", "k": 5}, "sampling": "poisson", "n_list": "100"},
+         "n_list"),
+        ({"distribution": {"kind": "uniform", "k": 5}, "functional": 3}, "functional"),
+        ({"distribution": {"kind": "uniform", "k": 5}, "functional": {"alpha": 0.5}}, "kind"),
+    ],
+)
+def test_config_from_json_names_the_bad_key(doc, key):
+    with pytest.raises(DomainError, match=repr(key)):
+        config_from_json(json.dumps(doc))
 
 
 def test_pad_k_extends_alphabet():
