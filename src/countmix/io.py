@@ -1,11 +1,17 @@
 """Count-file ingestion and serialization of fits and reports.
 
 Count files are plain text with ``#key=value`` directives followed by data
-lines.  ``#format=raw`` files hold one nonnegative count per line;
-``#format=fingerprint`` files hold ``j,phi_j`` pairs.  Optional directives:
-``#n=`` (concentration; defaults to the total count mass), ``#k=`` (alphabet
-size; defaults to the number of cells), and ``#tail=`` (cells binned into an
-unbounded top bucket, carried as metadata and excluded from fits).
+lines.  ``#format=raw`` files hold one nonnegative integer count per line;
+``#format=fingerprint`` files hold ``j,phi_j`` pairs.  Counts must fit in
+int64.  Blank lines are ignored, and directives may also follow data lines.
+Optional directives: ``#n=`` (concentration; defaults to the total count
+mass), ``#k=`` (alphabet size; defaults to the number of cells), and ``#tail=``
+(cells binned into an unbounded top bucket, carried as metadata and excluded
+from fits).
+
+A raw body with no directive and exactly one token per line is parsed in one
+vectorised pass; any other body goes through the line loop, which alone
+raises ``ParseError`` and names the line.
 """
 
 from __future__ import annotations
@@ -33,28 +39,65 @@ __all__ = [
 _DIRECTIVES = ("format", "n", "k", "tail")
 
 
-def _iter_lines(source: Union[str, Path, TextIO]):
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as handle:
-            yield from enumerate(handle, start=1)
-    else:
-        yield from enumerate(source, start=1)
+# Largest count a file may hold: counts are stored as int64.
+_COUNT_MAX = int(np.iinfo(np.int64).max)
+
+
+def _lines(text: str):
+    """(line number, offset, line) for each newline-separated line of text."""
+    start = 0
+    lineno = 1
+    while start < len(text):
+        end = text.find("\n", start)
+        if end < 0:
+            end = len(text)
+        yield lineno, start, text[start:end]
+        start = end + 1
+        lineno += 1
+
+
+def _raw_body(body: str) -> Optional[np.ndarray]:
+    """The counts of a raw body in one vectorised pass, or None.
+
+    None unless the body holds no ``#``, its tokens joined by newlines give
+    back the stripped body (so each line holds exactly one token and none is
+    blank), every token converts to int64 and none is negative.  On None the
+    caller's line loop parses the body and reports the first bad line.
+    """
+    if "#" in body:
+        return None
+    tokens = body.split()
+    if "\n".join(tokens) != body.strip():
+        return None
+    try:
+        counts = np.array(tokens, dtype=np.int64)
+    except (ValueError, OverflowError):
+        return None
+    if counts.size and counts.min() < 0:
+        return None
+    return counts
 
 
 def read_counts(source: Union[str, Path, TextIO]) -> CountData:
     """Parse a count file (path or open text stream) into CountData.
 
     Raw mode yields the counts verbatim; fingerprint mode expands each
-    ``j,phi_j`` pair into phi_j copies of j.  Malformed lines raise
-    ``ParseError`` with their line number.
+    ``j,phi_j`` pair into phi_j copies of j.  Malformed lines, and counts
+    beyond int64, raise ``ParseError`` with their line number.
     """
+    if isinstance(source, (str, Path)):
+        with open(source, "r", encoding="utf-8") as handle:
+            content = handle.read()
+    else:
+        content = source.read()
     fmt: Optional[str] = None
     n: Optional[int] = None
     k: Optional[int] = None
     tail = 0
     raw_counts: list[int] = []
     phi: dict[int, int] = {}
-    for lineno, line in _iter_lines(source):
+    counts: Optional[np.ndarray] = None
+    for lineno, offset, line in _lines(content):
         text = line.strip()
         if not text:
             continue
@@ -85,12 +128,19 @@ def read_counts(source: Union[str, Path, TextIO]) -> CountData:
         if fmt is None:
             raise ParseError("data before a #format directive", lineno)
         if fmt == "raw":
+            # The first data line of a raw file: try the whole rest at once.
+            if not raw_counts:
+                counts = _raw_body(content[offset:])
+                if counts is not None:
+                    break
             try:
                 value = int(text)
             except ValueError:
                 raise ParseError(f"expected an integer count, got {text!r}", lineno) from None
             if value < 0:
                 raise ParseError("counts must be nonnegative", lineno)
+            if value > _COUNT_MAX:
+                raise ParseError(f"count {value} does not fit in int64", lineno)
             raw_counts.append(value)
         else:
             parts = text.split(",")
@@ -102,13 +152,16 @@ def read_counts(source: Union[str, Path, TextIO]) -> CountData:
                 raise ParseError(f"expected integers, got {text!r}", lineno) from None
             if j < 0 or count < 0:
                 raise ParseError("fingerprint entries must be nonnegative", lineno)
+            if max(j, count) > _COUNT_MAX:
+                raise ParseError(f"fingerprint entry {max(j, count)} does not fit in int64", lineno)
             if j in phi:
                 raise ParseError(f"duplicate fingerprint value {j}", lineno)
             phi[j] = count
     if fmt is None:
         raise ParseError("missing #format directive")
     if fmt == "raw":
-        counts = np.array(raw_counts, dtype=np.int64)
+        if counts is None:
+            counts = np.array(raw_counts, dtype=np.int64)
     else:
         js = sorted(phi)
         counts = np.repeat(np.array(js, dtype=np.int64), [phi[j] for j in js])

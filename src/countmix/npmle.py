@@ -199,7 +199,12 @@ def _solve_weights(
         Bs = B[:, support]
         A = Bs * (sqrt_m / f)[:, None]
         heavy = 1e3 * A.max()
-        u, _ = nnls(np.vstack([A, np.full(support.size, heavy)]), np.append(2.0 * sqrt_m, heavy))
+        try:
+            u, _ = nnls(
+                np.vstack([A, np.full(support.size, heavy)]), np.append(2.0 * sqrt_m, heavy)
+            )
+        except RuntimeError as exc:  # nnls gives up after 3n inner iterations
+            raise FitError(f"weight solver: {exc}") from exc
         u /= u.sum()
         # g - 1 rather than g: both weight vectors sum to one, and this keeps a
         # small slope from drowning in rounding.

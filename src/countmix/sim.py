@@ -173,8 +173,16 @@ class ExperimentConfig:
     tol: float = DEFAULT_TOL
 
     def __post_init__(self):
-        object.__setattr__(self, "n_list", tuple(int(n) for n in self.n_list))
+        n_list = tuple(self.n_list)
+        for n in n_list:
+            if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+                raise DomainError(f"'n_list' entries must be integers >= 1, got {n!r}")
+        object.__setattr__(self, "n_list", tuple(int(n) for n in n_list))
         object.__setattr__(self, "estimators", tuple(self.estimators))
+        if not self.n_list:
+            raise DomainError("'n_list' must name at least one sample size")
+        if not self.estimators:
+            raise DomainError("'estimators' must name at least one estimator")
         if self.trials < 1:
             raise DomainError("trials must be >= 1")
         if self.sampling not in SAMPLING_SCHEMES:

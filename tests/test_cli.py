@@ -179,6 +179,51 @@ def test_simulate_malformed_config_exit_code_1(capsys, tmp_path):
     assert "'distribution'" in err
 
 
+@pytest.mark.parametrize(
+    "overrides,key",
+    [
+        ({"n_list": []}, "n_list"),
+        ({"estimators": []}, "estimators"),
+        ({"n_list": [0]}, "n_list"),
+        ({"n_list": ["a"]}, "n_list"),
+    ],
+)
+def test_simulate_empty_or_bad_lists_exit_code_1(capsys, tmp_path, overrides, key):
+    config = {
+        "distribution": {"kind": "uniform", "k": 5},
+        "sampling": "multinomial",
+        "n_list": [50],
+        "trials": 2,
+        "estimators": ["empirical"],
+        "seed": 5,
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(dict(config, **overrides)))
+    code, out, err = run(capsys, ["simulate", "--config", str(path), "--format", "csv"])
+    assert code == 1 and out == ""
+    assert err.startswith("countmix simulate: error:") and "\n" not in err.strip()
+    assert repr(key) in err
+
+
+def test_count_beyond_int64_exit_code_1(capsys, tmp_path):
+    path = tmp_path / "huge.txt"
+    path.write_text("#format=raw\n3\n99999999999999999999\n")
+    argv = ["estimate", "--input", str(path), "--functional", "entropy", "--method", "localized"]
+    code, out, err = run(capsys, argv)
+    assert code == 1 and out == ""
+    assert err.startswith("countmix estimate: error: line 3:") and "\n" not in err.strip()
+
+
+def test_nnls_iteration_limit_exit_code_1(capsys, raw_file, monkeypatch):
+    def give_up(A, b):
+        raise RuntimeError("Maximum number of iterations reached.")
+
+    monkeypatch.setattr("countmix.npmle.nnls", give_up)
+    code, out, err = run(capsys, ["fit", "--input", raw_file])
+    assert code == 1 and out == ""
+    assert err.startswith("countmix fit: error: weight solver:") and "\n" not in err.strip()
+
+
 def test_binomial_count_above_trials_exit_code_1(capsys, raw_file):
     code, out, err = run(capsys, ["fit", "--input", raw_file, "--kernel", "binomial", "--n", "5"])
     assert code == 1 and out == ""

@@ -1,6 +1,8 @@
 import io as _io
 import json
 
+import countmix.io as cmio
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -60,6 +62,66 @@ def test_parse_errors_carry_line_numbers():
         parse("1\n")  # data before the format directive
     with pytest.raises(ParseError):
         parse("#format=raw\n0\n0\n")  # all-zero counts need an explicit n
+
+
+def test_counts_beyond_int64_raise_parse_error():
+    with pytest.raises(ParseError) as err:
+        parse("#format=raw\n3\n99999999999999999999\n")
+    assert err.value.line == 3
+    with pytest.raises(ParseError) as err:
+        parse("#format=fingerprint\n0,4\n99999999999999999999,2\n")
+    assert err.value.line == 3
+    with pytest.raises(ParseError) as err:
+        parse("#format=fingerprint\n1,99999999999999999999\n")
+    assert err.value.line == 2
+    assert parse("#format=raw\n9223372036854775807\n").counts.tolist() == [2**63 - 1]
+
+
+def test_bad_line_near_the_end_of_a_long_raw_file_keeps_its_number(tmp_path):
+    lines = ["#format=raw"] + [str(i % 7) for i in range(200_000)]
+    good = tmp_path / "good.txt"
+    good.write_text("\n".join(lines) + "\n")
+    assert read_counts(good).counts.tolist() == [i % 7 for i in range(200_000)]
+    lines[199_990] = "x"
+    bad = tmp_path / "bad.txt"
+    bad.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError) as err:
+        read_counts(bad)
+    assert err.value.line == 199_991
+    assert str(err.value) == "line 199991: expected an integer count, got 'x'"
+
+
+def outcome(text):
+    """What read_counts makes of text: the parsed fields, or the error raised."""
+    try:
+        data = parse(text)
+    except ValueError as exc:  # ParseError, or DomainError from CountData
+        return type(exc), str(exc), getattr(exc, "line", None)
+    return data.counts.tolist(), data.counts.dtype, data.n, data.k, data.tail
+
+
+# Lines the fast path must leave to the line loop, or parse exactly as it does.
+ODD_LINES = ["", "  ", "\t", " 5 ", "1 2", "3\x0c4", "\x0c", "+3", "1_000", "-1", "x",
+             "12345678901234567890", "9223372036854775807", "#n=50", "#k=40", "#tail=2"]
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    head=st.lists(st.sampled_from(["", "#n=60", "#k=50", " "]), max_size=2),
+    body=st.lists(st.integers(min_value=0, max_value=10**6).map(str), max_size=10),
+    odd=st.lists(st.tuples(st.integers(min_value=0), st.sampled_from(ODD_LINES)), max_size=3),
+    newline=st.sampled_from(["\n", "\r\n"]),
+    final_newline=st.booleans(),
+)
+def test_raw_fast_path_matches_the_line_loop(head, body, odd, newline, final_newline):
+    for position, line in odd:
+        body.insert(position % (len(body) + 1), line)
+    text = newline.join(["#format=raw"] + head + body) + (newline if final_newline else "")
+    fast = outcome(text)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cmio, "_raw_body", lambda body: None)
+        loop = outcome(text)
+    assert fast == loop
 
 
 @settings(max_examples=50, deadline=None)

@@ -147,6 +147,15 @@ def test_binomial_count_above_trials_rejected():
         fit_npmle(counts, kernel=MixtureKernel.binomial(10))
 
 
+def test_nnls_iteration_limit_becomes_fit_error(monkeypatch):
+    def give_up(A, b):
+        raise RuntimeError("Maximum number of iterations reached.")
+
+    monkeypatch.setattr("countmix.npmle.nnls", give_up)
+    with pytest.raises(FitError, match="Maximum number of iterations"):
+        fit_npmle(CountData([1, 2, 2, 5], n=10))
+
+
 # --------------------------------------------------------------- certificate
 
 

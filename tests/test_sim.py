@@ -215,6 +215,21 @@ def test_unknown_estimator_rejected():
         small_config(estimators=("nonsense",))
 
 
+@pytest.mark.parametrize(
+    "overrides,key",
+    [
+        ({"n_list": ()}, "n_list"),
+        ({"estimators": ()}, "estimators"),
+        ({"n_list": (100, 0)}, "n_list"),
+        ({"n_list": ("a",)}, "n_list"),
+        ({"n_list": (100.5,)}, "n_list"),
+    ],
+)
+def test_config_rejects_empty_or_bad_lists(overrides, key):
+    with pytest.raises(DomainError, match=repr(key)):
+        small_config(**overrides)
+
+
 # ----------------------------------------------------------------- w1 curve
 
 
