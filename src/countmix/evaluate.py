@@ -78,16 +78,14 @@ def hellinger(
     kernel: MixtureKernel,
     pi1: MixingDistribution,
     pi2: MixingDistribution,
-    truncation: Optional[int] = None,
 ) -> HellingerReport:
     """Hellinger distance between the two induced count densities.
 
-    H^2 = 1 - sum_{j<=J} sqrt(f1(j) f2(j)) with the sum truncated at J;
-    ``tail_bound`` bounds the neglected Bhattacharyya mass by
-    sqrt(tail1 * tail2).
+    H^2 = 1 - sum_{j<=J} sqrt(f1(j) f2(j)) with the sum truncated at
+    J = ``pmf_truncation_point(kernel)``; ``tail_bound`` bounds the neglected
+    Bhattacharyya mass by sqrt(tail1 * tail2).
     """
-    if truncation is None:
-        truncation = pmf_truncation_point(kernel)
+    truncation = pmf_truncation_point(kernel)
     js = np.arange(truncation + 1, dtype=float)
     logf1 = np.atleast_1d(mixture_log_density(kernel, pi1, js))
     logf2 = np.atleast_1d(mixture_log_density(kernel, pi2, js))

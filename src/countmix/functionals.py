@@ -69,14 +69,18 @@ class FunctionalSpec:
             if self.alpha is None or not 0.0 < self.alpha < 1.0:
                 raise DomainError("power sum requires alpha in (0, 1)")
         if self.kind == "renyi":
-            if self.alpha is None or self.alpha <= 0.0 or self.alpha == 1.0:
-                raise DomainError("Renyi entropy requires alpha > 0, alpha != 1")
+            if self.alpha is None or not 0.0 < self.alpha < math.inf or self.alpha == 1.0:
+                raise DomainError(
+                    f"Renyi entropy requires a finite alpha > 0, alpha != 1, got {self.alpha!r}"
+                )
         if self.kind == "support_size" and self.min_mass is not None:
             if not 0.0 < self.min_mass <= 1.0:
                 raise DomainError("min_mass must lie in (0, 1]")
         if self.kind == "unseen":
-            if self.horizon is None or self.horizon <= 0.0:
-                raise DomainError("unseen functional requires a horizon t > 0")
+            if self.horizon is None or not 0.0 < self.horizon < math.inf:
+                raise DomainError(
+                    f"unseen functional requires a finite horizon t > 0, got {self.horizon!r}"
+                )
 
     @classmethod
     def entropy(cls) -> "FunctionalSpec":
@@ -285,8 +289,8 @@ def good_turing_unseen(counts: CountData, horizon: float) -> EstimateReport:
     look-ahead horizons; ``raw`` keeps the signed series value and ``value``
     floors it at zero.
     """
-    if horizon <= 0:
-        raise DomainError("horizon t must be positive")
+    if not 0.0 < horizon < math.inf:
+        raise DomainError(f"horizon t must be positive and finite, got {horizon!r}")
     values, mult = counts.unique_with_multiplicity()
     keep = values > 0
     values, mult = values[keep], mult[keep]

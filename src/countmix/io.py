@@ -2,8 +2,9 @@
 
 Count files are plain text with ``#key=value`` directives followed by data
 lines.  ``#format=raw`` files hold one nonnegative integer count per line;
-``#format=fingerprint`` files hold ``j,phi_j`` pairs.  Counts must fit in
-int64.  Blank lines are ignored, and directives may also follow data lines.
+``#format=fingerprint`` files hold ``j,phi_j`` pairs.  Counts and directive
+values must fit in int64, and so must the total count mass unless ``#n=`` is
+given.  Blank lines are ignored, and directives may also follow data lines.
 Optional directives: ``#n=`` (concentration; defaults to the total count
 mass), ``#k=`` (alphabet size; defaults to the number of cells), and ``#tail=``
 (cells binned into an unbounded top bucket, carried as metadata and excluded
@@ -82,8 +83,9 @@ def read_counts(source: Union[str, Path, TextIO]) -> CountData:
     """Parse a count file (path or open text stream) into CountData.
 
     Raw mode yields the counts verbatim; fingerprint mode expands each
-    ``j,phi_j`` pair into phi_j copies of j.  Malformed lines, and counts
-    beyond int64, raise ``ParseError`` with their line number.
+    ``j,phi_j`` pair into phi_j copies of j.  Malformed lines, and counts or
+    directive values beyond int64, raise ``ParseError`` with their line
+    number.
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8") as handle:
@@ -118,6 +120,8 @@ def read_counts(source: Union[str, Path, TextIO]) -> CountData:
                     parsed = int(value)
                 except ValueError:
                     raise ParseError(f"directive #{key} needs an integer", lineno) from None
+                if abs(parsed) > _COUNT_MAX:
+                    raise ParseError(f"#{key}={parsed} does not fit in int64", lineno)
                 if key == "n":
                     n = parsed
                 elif key == "k":
@@ -167,6 +171,10 @@ def read_counts(source: Union[str, Path, TextIO]) -> CountData:
         counts = np.repeat(np.array(js, dtype=np.int64), [phi[j] for j in js])
     if n is None:
         total = int(counts.sum())
+        # An int64 sum past 2^63 - 1 wraps: below 2^64 it turns negative, and
+        # beyond that the float64 sum, exact to far better than 25 %, shows it.
+        if total < 0 or counts.sum(dtype=np.float64) >= 1.5 * 2.0**63:
+            raise ParseError("the counts sum past 2^63 - 1, so #n must be given")
         if total == 0:
             raise ParseError("#n is required when every count is zero")
         n = total

@@ -86,7 +86,7 @@ class FitResult:
 class LocalizedFit:
     """Localized fit plus the index partition it was computed on.
 
-    ``small_mask`` flags the explicit counts whose (split) empirical rate fell
+    ``small_mask`` flags the explicit counts whose empirical rate fell
     below the threshold; implicit zero counts always do and are included in
     ``n_small``.  ``fit`` is None when no cell qualified.
     """
@@ -272,6 +272,8 @@ def _fit_rows(
     kernel: MixtureKernel,
     tol: float,
 ) -> FitResult:
+    if not 0.0 < tol < math.inf:
+        raise DomainError(f"tol must be positive and finite, got {tol!r}")
     live = mult > 0
     values_live, mult_live = values[live], mult[live]
     if values_live.size == 0:
@@ -305,8 +307,6 @@ def fit_npmle(
     the likelihood further; only the first sets ``converged``.  Every
     returned atom carries positive weight.
     """
-    if tol <= 0:
-        raise DomainError("tol must be positive")
     if kernel is None:
         kernel = MixtureKernel.poisson(counts.n)
     if grid is None:
@@ -343,24 +343,18 @@ def fit_localized(
     min_mass: Optional[float] = None,
     *,
     kappa: float = 3.6,
-    split_counts: Optional[CountData] = None,
 ) -> LocalizedFit:
     """Fit restricted to cells whose empirical rate is below kappa log(n)/n.
 
-    The grid of the sub-fit is capped at the same threshold.  When
-    ``split_counts`` is given its rates decide the partition (an
-    independent-sample split); the fit itself always uses ``counts``.
+    The grid of the sub-fit is capped at the same threshold.
     """
-    if kappa <= 0:
-        raise DomainError("kappa must be positive")
+    if not 0.0 < kappa < math.inf:
+        raise DomainError(f"kappa must be positive and finite, got {kappa!r}")
     n = counts.n
     if n < 2:
         raise DomainError("localization requires n >= 2")
     threshold = kappa * math.log(n) / n
-    ref = split_counts if split_counts is not None else counts
-    if ref.counts.size != counts.counts.size or ref.k != counts.k:
-        raise DomainError("split counts must align with the primary counts")
-    small_mask = (ref.counts / ref.n) <= threshold
+    small_mask = (counts.counts / n) <= threshold
     n_small = int(small_mask.sum()) + counts.implicit_zeros
     large_counts = counts.counts[~small_mask]
     if n_small == 0:
@@ -426,6 +420,9 @@ def fit_penalized(
     if k_max_factor <= 1.0:
         raise DomainError("k_max_factor must exceed 1")
     c0, c1 = reg
+    for name, value in (("c0", c0), ("c1", c1)):
+        if not math.isfinite(value):
+            raise DomainError(f"regularizer {name} must be finite, got {value!r}")
     k = float(counts.k)
     k_max = k_max_factor * k
     if kernel is None:

@@ -2,7 +2,7 @@
 
 All randomness flows through counter-based generators keyed by the experiment
 seed and the (sample size, trial) pair, so results are bit-identical across
-reruns and independent of how trials are scheduled over threads.
+reruns.
 """
 
 from __future__ import annotations
@@ -11,10 +11,8 @@ import csv
 import io
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -33,7 +31,6 @@ __all__ = [
     "make_distribution",
     "report_to_csv",
     "report_to_json",
-    "resolve_threads",
     "run_experiment",
     "sample",
     "true_value",
@@ -185,6 +182,8 @@ class ExperimentConfig:
             raise DomainError("'estimators' must name at least one estimator")
         if self.trials < 1:
             raise DomainError("trials must be >= 1")
+        if not 0.0 < self.tol < math.inf:
+            raise DomainError(f"'tol' must be positive and finite, got {self.tol!r}")
         if self.sampling not in SAMPLING_SCHEMES:
             raise DomainError(f"unknown sampling scheme {self.sampling!r}")
         for name in self.estimators:
@@ -212,21 +211,6 @@ class RmseReport:
     entries: list[RmseEntry]
 
 
-def resolve_threads(explicit: Optional[int] = None) -> int:
-    """Thread cap: explicit argument, else COUNTMIX_THREADS (0 or unset = auto)."""
-    if explicit is None:
-        raw = os.environ.get("COUNTMIX_THREADS", "0")
-        try:
-            explicit = int(raw)
-        except ValueError as exc:
-            raise DomainError(f"COUNTMIX_THREADS must be an integer, got {raw!r}") from exc
-    if explicit < 0:
-        raise DomainError("thread count must be nonnegative")
-    if explicit == 0:
-        return min(os.cpu_count() or 1, 8)
-    return explicit
-
-
 def _one_trial(config: ExperimentConfig, n: int, stream: int) -> dict[str, float]:
     rng = _rng(config.seed, stream)
     counts = sample(config.distribution, config.sampling, n, rng)
@@ -244,28 +228,21 @@ def _one_trial(config: ExperimentConfig, n: int, stream: int) -> dict[str, float
     return out
 
 
-def _map_trials(fn: Callable[[int], object], trials: int, threads: int) -> list:
-    if threads <= 1:
-        return [fn(t) for t in range(trials)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(trials)))
-
-
-def run_experiment(config: ExperimentConfig, threads: Optional[int] = None) -> RmseReport:
+def run_experiment(config: ExperimentConfig, threads: int = 1) -> RmseReport:
     """Monte-Carlo RMSE of the configured estimators at each sample size.
 
     Per-trial random streams are derived from (seed, n index, trial index),
-    and per-trial results are reduced in trial order, so the report does not
-    depend on the degree of parallelism.
+    and the trials run one after another in trial order.  ``threads`` stays
+    only because ``perfbench/test_checks.py`` passes ``threads=1``; any other
+    value is a DomainError.
     """
-    threads = resolve_threads(threads)
+    if threads != 1:
+        raise DomainError(f"trials run on one thread, got threads={threads!r}")
     entries: list[RmseEntry] = []
     k_report = config.pad_k if config.pad_k is not None else config.distribution.k
     for ni, n in enumerate(config.n_list):
         truth = true_value(config.distribution, config.functional, n)
-        rows = _map_trials(
-            lambda t: _one_trial(config, n, ni * 1_000_000 + t), config.trials, threads
-        )
+        rows = [_one_trial(config, n, ni * 1_000_000 + t) for t in range(config.trials)]
         for name in config.estimators:
             values = np.array([row[name] for row in rows])
             mean = float(values.mean())
@@ -292,23 +269,16 @@ def w1_curve(
     trials: int,
     seed: int,
     sampling: str = "poisson",
-    m: Optional[int] = None,
     tol: float = DEFAULT_TOL,
-    threads: Optional[int] = None,
 ) -> list[tuple[int, float]]:
     """Mean 1-Wasserstein error of the fitted mixing distribution per n."""
-    threads = resolve_threads(threads)
     target = histogram_distribution(dist)
     out = []
     for ni, n in enumerate(n_list):
-
-        def one(t: int, n=n, ni=ni) -> float:
-            rng = _rng(seed, ni * 1_000_000 + t)
-            counts = sample(dist, sampling, n, rng)
-            fit = fit_npmle(counts, None, None, tol)
-            return wasserstein(fit.mixing, target)
-
-        values = _map_trials(one, trials, threads)
+        values = []
+        for t in range(trials):
+            counts = sample(dist, sampling, n, _rng(seed, ni * 1_000_000 + t))
+            values.append(wasserstein(fit_npmle(counts, tol=tol).mixing, target))
         out.append((int(n), float(np.mean(values))))
     return out
 

@@ -236,6 +236,43 @@ def test_localized_nonpositive_kappa_exit_code_1(capsys, raw_file):
     assert "kappa must be positive" in err and "\n" not in err.strip()
 
 
+@pytest.mark.parametrize(
+    "argv,setting",
+    [
+        (["fit", "--input", "{raw}", "--tol", "nan"], "tol"),
+        (["fit", "--input", "{raw}", "--tol", "inf"], "tol"),
+        (["estimate", "--input", "{raw}", "--functional", "renyi:nan", "--method", "empirical"],
+         "alpha"),
+        (["estimate", "--input", "{huge_k}", "--functional", "entropy", "--method", "plugin"],
+         "line 2:"),
+        (["localized", "--input", "{raw}", "--kappa", "nan"], "kappa"),
+        (["penalized", "--input", "{positive}", "--tol", "-1"], "tol"),
+        (["penalized", "--input", "{positive}", "--c0", "nan"], "c0"),
+        (["gof", "--input", "{raw}", "--T", "3", "--model", "mixture", "--tol", "nan"], "tol"),
+        (["unseen", "--input", "{raw}", "--t-grid", "nan,1"], "horizon"),
+        (["simulate", "--config", "{config}"], "'tol'"),
+    ],
+    ids=["fit-tol-nan", "fit-tol-inf", "estimate-renyi-nan", "estimate-k-beyond-int64",
+         "localized-kappa-nan", "penalized-tol-negative", "penalized-c0-nan", "gof-tol-nan",
+         "unseen-t-nan", "simulate-tol-nan"],
+)
+def test_nan_infinite_or_oversized_setting_exit_code_1(capsys, raw_file, tmp_path, argv, setting):
+    files = {"raw": raw_file}
+    for name, text in [
+        ("positive", "#format=raw\n3\n1\n1\n2\n"),
+        ("huge_k", "#format=raw\n#k=99999999999999999999\n3\n"),
+        ("config", '{"distribution": {"kind": "uniform", "k": 5}, "sampling": "poisson", '
+                   '"n_list": [50], "trials": 2, "estimators": ["empirical"], "seed": 1, '
+                   '"tol": NaN}'),
+    ]:
+        files[name] = str(tmp_path / name)
+        (tmp_path / name).write_text(text)
+    code, out, err = run(capsys, [arg.format(**files) for arg in argv])
+    assert code == 1 and out == ""
+    assert err.startswith(f"countmix {argv[0]}: error:") and "\n" not in err.strip()
+    assert setting in err
+
+
 def test_output_flag_writes_file(capsys, raw_file, tmp_path):
     target = tmp_path / "fit.json"
     code, out, _ = run(capsys, ["fit", "--input", raw_file, "--output", str(target)])

@@ -54,6 +54,22 @@ def test_spec_validation():
         FunctionalSpec("support_size", min_mass=2.0)
 
 
+@pytest.mark.parametrize(
+    "make,setting",
+    [
+        (lambda: FunctionalSpec.renyi(math.nan), "alpha"),
+        (lambda: FunctionalSpec.renyi(math.inf), "alpha"),
+        (lambda: FunctionalSpec.unseen(math.nan), "horizon"),
+        (lambda: FunctionalSpec.unseen(math.inf), "horizon"),
+        (lambda: good_turing_unseen(CountData([1, 2], n=3), math.nan), "horizon"),
+    ],
+    ids=["renyi-nan", "renyi-inf", "unseen-nan", "unseen-inf", "good-turing-nan"],
+)
+def test_nan_and_infinite_settings_are_rejected_by_name(make, setting):
+    with pytest.raises(DomainError, match=setting):
+        make()
+
+
 # ------------------------------------------------------------------- plugin
 
 

@@ -77,6 +77,24 @@ def test_counts_beyond_int64_raise_parse_error():
     assert parse("#format=raw\n9223372036854775807\n").counts.tolist() == [2**63 - 1]
 
 
+@pytest.mark.parametrize("key", ["k", "n", "tail"])
+@pytest.mark.parametrize("value", ["99999999999999999999", "-99999999999999999999"])
+def test_directive_beyond_int64_raises_parse_error_with_its_line(key, value):
+    with pytest.raises(ParseError, match=f"#{key}=") as err:
+        parse(f"#format=raw\n#{key}={value}\n3\n")
+    assert err.value.line == 2
+
+
+def test_count_sum_beyond_int64_needs_an_explicit_n():
+    body = "9223372036854775807\n" * 2
+    with pytest.raises(ParseError, match="#n must be given"):
+        parse("#format=raw\n" + body)
+    assert parse("#format=raw\n#n=5\n" + body).n == 5
+    assert parse("#format=raw\n9223372036854775806\n1\n").n == 2**63 - 1
+    with pytest.raises(ParseError, match="#n must be given"):
+        parse("#format=raw\n" + "9223372036854775807\n" * 3)  # wraps to a positive sum
+
+
 def test_bad_line_near_the_end_of_a_long_raw_file_keeps_its_number(tmp_path):
     lines = ["#format=raw"] + [str(i % 7) for i in range(200_000)]
     good = tmp_path / "good.txt"

@@ -21,7 +21,9 @@ from countmix.npmle import (
     certificate,
     default_grid_size,
     fit_localized,
+    fit_penalized,
     log_likelihood,
+    scaled_kl_profile,
 )
 
 
@@ -319,18 +321,38 @@ def test_localized_partition_matches_threshold():
     )
 
 
-def test_localized_split_sample_controls_partition():
-    counts = CountData([0, 100, 3], n=200)
-    split = CountData([150, 0, 0], n=200)
-    loc = fit_localized(counts, split_counts=split)
-    # the first cell is excluded by the split sample even though its own count is small
-    assert loc.small_mask.tolist() == [False, True, True]
-    assert loc.large_counts.tolist() == [0]
-    assert 100 in counts.counts[loc.small_mask]
-
-
 def test_localized_rejects_nonpositive_kappa():
     counts = CountData([0, 100, 3], n=200)
     for kappa in (0.0, -1.0):
         with pytest.raises(DomainError, match="kappa"):
             fit_localized(counts, kappa=kappa)
+
+
+FITS = {
+    "fit_npmle": fit_npmle,
+    "fit_localized": fit_localized,
+    "fit_penalized": fit_penalized,
+    "scaled_kl_profile": lambda counts, **kw: scaled_kl_profile(counts, [2 * counts.k], **kw),
+}
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("name", sorted(FITS))
+def test_every_fit_rejects_a_tol_that_is_not_positive_and_finite(name, tol):
+    with pytest.raises(DomainError, match="tol"):
+        FITS[name](CountData([1, 2, 5], n=10), tol=tol)
+
+
+@pytest.mark.parametrize(
+    "name,settings,setting",
+    [
+        ("fit_localized", {"kappa": math.nan}, "kappa"),
+        ("fit_localized", {"kappa": math.inf}, "kappa"),
+        ("fit_penalized", {"reg": (math.nan, 1.0)}, "c0"),
+        ("fit_penalized", {"reg": (10.0, math.nan)}, "c1"),
+        ("fit_penalized", {"reg": (math.inf, 1.0)}, "c0"),
+    ],
+)
+def test_nan_and_infinite_settings_are_rejected_by_name(name, settings, setting):
+    with pytest.raises(DomainError, match=setting):
+        FITS[name](CountData([1, 2, 5], n=10), **settings)

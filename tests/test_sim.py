@@ -14,7 +14,7 @@ from countmix import (
     sample,
     w1_curve,
 )
-from countmix.sim import histogram_distribution, resolve_threads
+from countmix.sim import histogram_distribution
 
 
 def rng(stream):
@@ -123,10 +123,9 @@ def test_run_experiment_reproducible():
     assert a.entries == b.entries
 
 
-def test_run_experiment_thread_count_independent():
-    a = run_experiment(small_config(), threads=1)
-    b = run_experiment(small_config(), threads=4)
-    assert a.entries == b.entries
+def test_run_experiment_rejects_a_thread_count_above_one():
+    with pytest.raises(DomainError, match="threads"):
+        run_experiment(small_config(), threads=2)
 
 
 def test_rmse_moment_identity():
@@ -230,6 +229,16 @@ def test_config_rejects_empty_or_bad_lists(overrides, key):
         small_config(**overrides)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+def test_config_rejects_a_tol_that_is_not_positive_and_finite(tol):
+    with pytest.raises(DomainError, match="'tol'"):
+        small_config(tol=tol)
+    doc = {"distribution": {"kind": "uniform", "k": 5}, "sampling": "poisson",
+           "n_list": [50], "trials": 2, "estimators": ["empirical"], "seed": 1, "tol": tol}
+    with pytest.raises(DomainError, match="'tol'"):
+        config_from_json(json.dumps(doc))
+
+
 # ----------------------------------------------------------------- w1 curve
 
 
@@ -245,18 +254,3 @@ def test_w1_curve_deterministic():
     a = w1_curve(dist, [200], trials=3, seed=11)
     b = w1_curve(dist, [200], trials=3, seed=11)
     assert a == b
-
-
-# ------------------------------------------------------------------ threads
-
-
-def test_resolve_threads_env(monkeypatch):
-    monkeypatch.setenv("COUNTMIX_THREADS", "3")
-    assert resolve_threads() == 3
-    monkeypatch.setenv("COUNTMIX_THREADS", "0")
-    assert resolve_threads() >= 1
-    monkeypatch.delenv("COUNTMIX_THREADS")
-    assert resolve_threads() >= 1
-    monkeypatch.setenv("COUNTMIX_THREADS", "x")
-    with pytest.raises(DomainError):
-        resolve_threads()
