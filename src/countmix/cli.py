@@ -113,10 +113,6 @@ def _load_counts(args) -> CountData:
     return data
 
 
-def _kernel_for(args, counts: CountData) -> MixtureKernel:
-    return MixtureKernel(args.kernel, counts.n)
-
-
 def _parse_functional(text: str) -> FunctionalSpec:
     name, _, param = text.partition(":")
     if name == "entropy":
@@ -150,9 +146,8 @@ def _csv_rows(rows: list[list]) -> str:
 
 def _cmd_fit(args) -> str:
     counts = _load_counts(args)
-    kernel = _kernel_for(args, counts)
     grid = build_grid(counts, args.grid_size)
-    fit = fit_npmle(counts, grid, kernel, args.tol)
+    fit = fit_npmle(counts, grid, MixtureKernel(args.kernel, counts.n), args.tol)
     return cmio.write_fit(fit)
 
 
@@ -163,7 +158,7 @@ def _cmd_estimate(args) -> str:
         counts,
         spec,
         args.method,
-        kernel=_kernel_for(args, counts),
+        kernel=MixtureKernel(args.kernel, counts.n),
         m=args.grid_size,
         tol=args.tol,
     )
@@ -178,7 +173,7 @@ def _cmd_localized(args) -> str:
     counts = _load_counts(args)
     loc = fit_localized(
         counts,
-        kernel=_kernel_for(args, counts),
+        kernel=MixtureKernel(args.kernel, counts.n),
         m=args.grid_size,
         tol=args.tol,
         kappa=args.kappa,
@@ -189,7 +184,7 @@ def _cmd_localized(args) -> str:
         "threshold": loc.threshold,
         "n_small": loc.n_small,
         "n_large": int(loc.large_counts.size),
-        "fit": None if loc.empty else json.loads(cmio.write_fit(loc.fit)),
+        "fit": None if loc.fit is None else cmio.fit_to_dict(loc.fit),
     }
     return json.dumps(doc, indent=2)
 
@@ -199,7 +194,7 @@ def _cmd_penalized(args) -> str:
     result = fit_penalized(
         counts,
         m=args.grid_size,
-        kernel=_kernel_for(args, counts),
+        kernel=MixtureKernel(args.kernel, counts.n),
         tol=args.tol,
         reg=(args.c0, args.c1),
     )
@@ -227,7 +222,7 @@ def _cmd_unseen(args) -> str:
         raise DomainError("empty --t-grid")
     if args.method == "plugin":
         grid = build_grid(counts, args.grid_size)
-        fit = fit_npmle(counts, grid, _kernel_for(args, counts), args.tol)
+        fit = fit_npmle(counts, grid, MixtureKernel(args.kernel, counts.n), args.tol)
         curve = discovery_curve(fit.mixing, counts.k, counts.n, horizons)
     else:
         curve = [(t, good_turing_unseen(counts, t).value) for t in horizons]

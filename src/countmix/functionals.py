@@ -134,8 +134,35 @@ class EstimateReport:
     fit: Optional[FitResult] = None
 
 
-def _clamped(raw: float, bounds: tuple[float, float]) -> float:
-    return min(max(raw, bounds[0]), bounds[1])
+def _report(
+    spec: FunctionalSpec,
+    additive: float,
+    k: int,
+    method: str,
+    parts: Optional[tuple[float, float]] = None,
+    fit: Optional[FitResult] = None,
+) -> EstimateReport:
+    """Finish an estimate from its additive sum sum_i g(p_i).
+
+    Renyi entropy maps the power sum to log(sum)/(1 - alpha), with the sum
+    clamped away from zero before the log; the result is then clamped to
+    the functional's natural range.
+    """
+    raw = additive
+    if spec.kind == "renyi":
+        alpha = spec.alpha
+        lo = k ** (-(1.0 - alpha)) * POWER_SUM_LOG_GUARD
+        hi = max(1.0, k ** (1.0 - alpha))
+        raw = math.log(min(max(additive, lo), hi)) / (1.0 - alpha)
+    bounds = spec.resolved_bounds(k)
+    return EstimateReport(
+        value=min(max(raw, bounds[0]), bounds[1]),
+        method=method,
+        parts=parts,
+        raw=raw,
+        bounds=bounds,
+        fit=fit,
+    )
 
 
 def g_eval(spec: FunctionalSpec, x, n: Optional[int] = None):
@@ -170,31 +197,9 @@ def plugin(
     n: Optional[int] = None,
     fit: Optional[FitResult] = None,
 ) -> EstimateReport:
-    """Plug-in estimate k * sum_j w_j g(r_j), clamped to the functional bounds.
-
-    Renyi entropy is computed as log(power-sum plug-in)/(1 - alpha) with the
-    power sum clamped away from zero before the log.
-    """
-    base = float(k * mixing.expectation(g_eval(spec, mixing.atoms, n)))
-    raw = _transform(spec, base, k)
-    bounds = spec.resolved_bounds(k)
-    return EstimateReport(
-        value=_clamped(raw, bounds),
-        method="plugin",
-        raw=raw,
-        bounds=bounds,
-        fit=fit,
-    )
-
-
-def _transform(spec: FunctionalSpec, additive_value: float, k: int) -> float:
-    """Map the additive sum to the reported scale (log transform for Renyi)."""
-    if spec.kind != "renyi":
-        return additive_value
-    alpha = spec.alpha
-    lo = k ** (-(1.0 - alpha)) * POWER_SUM_LOG_GUARD
-    hi = max(1.0, k ** (1.0 - alpha))
-    return math.log(min(max(additive_value, lo), hi)) / (1.0 - alpha)
+    """Plug-in estimate k * sum_j w_j g(r_j), clamped to the functional bounds."""
+    additive = float(k * mixing.expectation(g_eval(spec, mixing.atoms, n)))
+    return _report(spec, additive, k, "plugin", fit=fit)
 
 
 def bias_corrected_g(spec: FunctionalSpec, p_hat, n: int):
@@ -207,21 +212,18 @@ def bias_corrected_g(spec: FunctionalSpec, p_hat, n: int):
     x = np.asarray(p_hat, dtype=float)
     if np.any(x <= 0):
         raise DomainError("bias correction is defined for positive rates only")
+    out = g_eval(spec, x, n)
     if spec.kind == "entropy":
-        out = -xlogy(x, x) + 1.0 / (2.0 * n)
+        out = out + 1.0 / (2.0 * n)
     elif spec.kind in ("power_sum", "renyi"):
         a = spec.alpha
-        out = x**a - (a * (a - 1.0) / (2.0 * n)) * x ** (a - 1.0)
-    elif spec.kind == "support_size":
-        out = np.ones_like(x)
-    else:
+        out = out - (a * (a - 1.0) / (2.0 * n)) * x ** (a - 1.0)
+    elif spec.kind == "unseen":
         t = spec.horizon
         nx = n * x
         g2 = n**2 * np.exp(-nx) * (1.0 - (1.0 + t) ** 2 * np.exp(-t * nx))
-        out = np.exp(-nx) * (-np.expm1(-t * nx)) - (x / (2.0 * n)) * g2
-    if out.ndim == 0:
-        return float(out)
-    return out
+        out = out - (x / (2.0 * n)) * g2
+    return out if np.ndim(out) else float(out)
 
 
 def estimate_combined(
@@ -232,40 +234,24 @@ def estimate_combined(
     value = clamp(|J| * sum_j w_j g(r_j) + sum_{i not in J} g_corrected(p_hat_i)),
     where J is the small-rate partition of the localized fit.
     """
-    n, k = counts.n, counts.k
-    if localized.empty:
-        small = 0.0
-    else:
+    n = counts.n
+    small = 0.0
+    if localized.fit is not None:
         mixing = localized.fit.mixing
         small = float(
             localized.n_small * mixing.expectation(g_eval(spec, mixing.atoms, n))
         )
-    if localized.large_counts.size:
-        large = float(np.sum(bias_corrected_g(spec, localized.large_counts / n, n)))
-    else:
-        large = 0.0
-    raw = _transform(spec, small + large, k)
-    bounds = spec.resolved_bounds(k)
-    return EstimateReport(
-        value=_clamped(raw, bounds),
-        method="localized",
-        parts=(small, large),
-        raw=raw,
-        bounds=bounds,
-        fit=localized.fit,
+    large = float(np.sum(bias_corrected_g(spec, localized.large_counts / n, n)))
+    return _report(
+        spec, small + large, counts.k, "localized", parts=(small, large), fit=localized.fit
     )
 
 
 def empirical_plugin(counts: CountData, spec: FunctionalSpec) -> EstimateReport:
     """Plug-in at the empirical rates: clamp(sum_i g(N_i / n))."""
     positive = counts.counts[counts.counts > 0]
-    raw = _transform(
-        spec, float(np.sum(g_eval(spec, positive / counts.n, counts.n))), counts.k
-    )
-    bounds = spec.resolved_bounds(counts.k)
-    return EstimateReport(
-        value=_clamped(raw, bounds), method="empirical", raw=raw, bounds=bounds
-    )
+    additive = float(np.sum(g_eval(spec, positive / counts.n, counts.n)))
+    return _report(spec, additive, counts.k, "empirical")
 
 
 def miller_madow(counts: CountData, spec: Optional[FunctionalSpec] = None) -> EstimateReport:

@@ -31,6 +31,7 @@ from .npmle import FitResult, PenalizedFitResult
 __all__ = [
     "FIT_SCHEMA",
     "REPORT_SCHEMAS",
+    "fit_to_dict",
     "read_counts",
     "write_counts",
     "write_fit",
@@ -256,9 +257,9 @@ REPORT_SCHEMAS = {
 }
 
 
-def write_fit(fit: FitResult) -> str:
-    """Fit as a JSON document; floats round-trip exactly through the text."""
-    doc = {
+def fit_to_dict(fit: FitResult) -> dict:
+    """The JSON object of a fit, as ``FIT_SCHEMA`` describes it."""
+    return {
         "v": 1,
         "atoms": fit.mixing.atoms.tolist(),
         "weights": fit.mixing.weights.tolist(),
@@ -267,7 +268,11 @@ def write_fit(fit: FitResult) -> str:
         "iterations": fit.iterations,
         "converged": fit.converged,
     }
-    return json.dumps(doc, indent=2)
+
+
+def write_fit(fit: FitResult) -> str:
+    """Fit as a JSON document; floats round-trip exactly through the text."""
+    return json.dumps(fit_to_dict(fit), indent=2)
 
 
 def write_report(report) -> str:

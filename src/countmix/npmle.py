@@ -17,9 +17,11 @@ directional-derivative certificate
 
     gap = max_j (1/k) sum_i m_i q(N_i, r_j) / f_w(N_i) - 1,
 
-which is nonpositive at an exact maximizer; the reported gap is the one at
-the returned weights, and ``certificate`` recomputes it independently from
-the mixing distribution alone.
+which is nonpositive at an exact maximizer.  The reported gap and
+log-likelihood are the solver's own, taken from the mixture density f = B w
+at the returned weights; ``certificate`` stays the independent check, which
+recomputes the gap from fresh pmf evaluations and the mixing distribution
+alone.
 """
 
 from __future__ import annotations
@@ -51,7 +53,6 @@ __all__ = [
     "fit_localized",
     "fit_npmle",
     "fit_penalized",
-    "log_likelihood",
     "scaled_kl_profile",
 ]
 
@@ -70,8 +71,9 @@ class FitResult:
 
     ``optimality_gap`` is the largest directional-derivative violation over
     the grid, clamped below at zero; ``log_likelihood`` is the mixture
-    log-likelihood of the data at the fit; ``iterations`` counts the
-    constrained-Newton steps taken.
+    log-likelihood of the data at the fit.  Both are the solver's own figures
+    at the returned weights; ``certificate`` rechecks the gap independently.
+    ``iterations`` counts the constrained-Newton steps taken.
     """
 
     mixing: MixingDistribution
@@ -84,22 +86,17 @@ class FitResult:
 
 @dataclass(frozen=True)
 class LocalizedFit:
-    """Localized fit plus the index partition it was computed on.
+    """Localized fit plus the partition it was computed on.
 
-    ``small_mask`` flags the explicit counts whose empirical rate fell
-    below the threshold; implicit zero counts always do and are included in
-    ``n_small``.  ``fit`` is None when no cell qualified.
+    ``n_small`` counts the cells whose empirical rate is at most the
+    threshold, implicit zero counts included; ``large_counts`` holds the
+    rest.  ``fit`` is None when no cell qualified.
     """
 
     fit: Optional[FitResult]
-    small_mask: np.ndarray
     n_small: int
     large_counts: np.ndarray
     threshold: float
-
-    @property
-    def empty(self) -> bool:
-        return self.fit is None
 
 
 @dataclass(frozen=True)
@@ -169,12 +166,14 @@ def build_grid(
 
 def _solve_weights(
     B: np.ndarray, mult: np.ndarray, tol: float
-) -> tuple[np.ndarray, float, int]:
+) -> tuple[np.ndarray, np.ndarray, float, int]:
     """Maximize sum_i m_i log (B w)_i over the weight simplex by CNM.
 
     ``B`` is the row-scaled pmf matrix, so each row peaks at exactly 1.
-    Returns the weights, the certificate gap max_j g_j - 1 at them, where
-    g = B^T (m / Bw) / k, and the number of Newton steps taken.
+    Returns the weights w, f = B w (positive: the start gives f_i >= m_i / k
+    and a step that would bring any f_i near zero is refused), the
+    certificate gap max_j g_j - 1 at w, where g = B^T (m / f) / k, and the
+    number of Newton steps taken.
     """
     ktot = mult.sum()
     sqrt_m = np.sqrt(mult)
@@ -231,38 +230,26 @@ def _solve_weights(
         w[support] = cand
         f = fc
         iterations += 1
-    return w, max(gap, 0.0), iterations
+    return w, f, max(gap, 0.0), iterations
 
 
 def _prepare_rows(
     values: np.ndarray, grid: Grid, kernel: MixtureKernel
-) -> np.ndarray:
-    """Row-scaled pmf matrix exp(logA - rowmax); rows with no support raise."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Row-scaled pmf matrix exp(logA - rowmax), and rowmax; rows with no
+    support raise."""
     logA = log_pmf(kernel, values[:, None].astype(float), grid.atoms[None, :])
     logA = np.atleast_2d(logA)
     rowmax = logA.max(axis=1)
     if not np.all(np.isfinite(rowmax)):
         bad = values[~np.isfinite(rowmax)]
         raise FitError(f"count {bad[0]} has zero probability under every grid atom")
-    return np.exp(logA - rowmax[:, None])
+    return np.exp(logA - rowmax[:, None]), rowmax
 
 
-def _log_likelihood_rows(
-    mixing: MixingDistribution,
-    values: np.ndarray,
-    mult: np.ndarray,
-    kernel: MixtureKernel,
-) -> float:
-    logf = np.atleast_1d(mixture_log_density(kernel, mixing, values.astype(float)))
-    return float(mult[mult > 0] @ logf[mult > 0])
-
-
-def log_likelihood(
-    counts: CountData, mixing: MixingDistribution, kernel: MixtureKernel
-) -> float:
-    """Mixture log-likelihood sum_i log f(N_i) over the effective multiset."""
-    values, mult = counts.unique_with_multiplicity()
-    return _log_likelihood_rows(mixing, values, mult, kernel)
+def _check_tol(tol: float) -> None:
+    if not 0.0 < tol < math.inf:
+        raise DomainError(f"tol must be positive and finite, got {tol!r}")
 
 
 def _fit_rows(
@@ -272,19 +259,17 @@ def _fit_rows(
     kernel: MixtureKernel,
     tol: float,
 ) -> FitResult:
-    if not 0.0 < tol < math.inf:
-        raise DomainError(f"tol must be positive and finite, got {tol!r}")
+    _check_tol(tol)
     live = mult > 0
     values_live, mult_live = values[live], mult[live]
     if values_live.size == 0:
         raise FitError("no counts to fit")
-    B = _prepare_rows(values_live, grid, kernel)
-    w, gap, iterations = _solve_weights(B, mult_live, tol)
+    B, rowmax = _prepare_rows(values_live, grid, kernel)
+    w, f, gap, iterations = _solve_weights(B, mult_live, tol)
     keep = w > 0
-    mixing = MixingDistribution(grid.atoms[keep], w[keep])
     return FitResult(
-        mixing=mixing,
-        log_likelihood=_log_likelihood_rows(mixing, values_live, mult_live, kernel),
+        mixing=MixingDistribution(grid.atoms[keep], w[keep]),
+        log_likelihood=float(mult_live @ (np.log(f) + rowmax)),
         optimality_gap=gap,
         iterations=iterations,
         converged=gap <= tol,
@@ -350,6 +335,7 @@ def fit_localized(
     """
     if not 0.0 < kappa < math.inf:
         raise DomainError(f"kappa must be positive and finite, got {kappa!r}")
+    _check_tol(tol)
     n = counts.n
     if n < 2:
         raise DomainError("localization requires n >= 2")
@@ -358,11 +344,11 @@ def fit_localized(
     n_small = int(small_mask.sum()) + counts.implicit_zeros
     large_counts = counts.counts[~small_mask]
     if n_small == 0:
-        return LocalizedFit(None, small_mask, 0, large_counts, threshold)
+        return LocalizedFit(None, 0, large_counts, threshold)
     sub = CountData(counts.counts[small_mask], n=n, k=n_small)
     grid = build_grid(sub, m, upper=threshold, min_mass=min_mass)
     fit = fit_npmle(sub, grid, kernel, tol)
-    return LocalizedFit(fit, small_mask, n_small, large_counts, threshold)
+    return LocalizedFit(fit, n_small, large_counts, threshold)
 
 
 def _binary_entropy(p: float) -> float:

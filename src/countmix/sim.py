@@ -65,12 +65,15 @@ class TrueDistribution:
         probs = np.asarray(self.probs, dtype=float)
         if probs.ndim != 1 or probs.size != self.k:
             raise DomainError("probability vector must have length k")
+        if not np.all(np.isfinite(probs)):
+            raise DomainError("probabilities must be finite")
         if probs.min() < 0:
             raise DomainError("probabilities must be nonnegative")
         if abs(probs.sum() - 1.0) > 1e-9:
             raise DomainError("probabilities must sum to one")
         probs = probs / probs.sum()
-        assert abs(probs.sum() - 1.0) <= PROB_SUM_TOL
+        if abs(probs.sum() - 1.0) > PROB_SUM_TOL:
+            raise DomainError("probabilities do not sum to one after normalization")
         object.__setattr__(self, "probs", probs)
 
 
@@ -116,6 +119,8 @@ def make_distribution(
         p = np.exp(logp - logp.max())
         p /= p.sum()
     else:
+        if not math.isfinite(s):
+            raise DomainError(f"Zipf exponent 's' must be finite, got {s!r}")
         p = i**-s
         p /= p.sum()
     return TrueDistribution(kind, k, p, s=float(s) if kind == "zipf" else None)
@@ -314,14 +319,15 @@ _NUMBER = (int, float)
 
 def _read(doc, key: str, kind, default=_REQUIRED):
     """``doc[key]``, checked to be of JSON type ``kind``; a missing key or a
-    wrong type is a DomainError naming ``key``.  Null stands for a None default."""
+    wrong type is a DomainError naming ``key``.  Null stands for a None default.
+    No key takes a boolean, though Python counts ``True`` as an int."""
     if not isinstance(doc, dict):
         raise DomainError(f"config: expected a JSON object holding {key!r}")
     if key not in doc or (doc[key] is None and default is None):
         if default is _REQUIRED:
             raise DomainError(f"config: missing key {key!r}")
         return default
-    if not isinstance(doc[key], kind):
+    if isinstance(doc[key], bool) or not isinstance(doc[key], kind):
         raise DomainError(f"config: wrong type for {key!r}: {doc[key]!r}")
     return doc[key]
 
@@ -342,7 +348,7 @@ def config_from_json(text: str) -> ExperimentConfig:
         spec_doc = {"kind": spec_doc}
     spec = FunctionalSpec(
         _read(spec_doc, "kind", str),
-        **{name: spec_doc.get(name) for name in ("alpha", "min_mass", "horizon")},
+        **{name: _read(spec_doc, name, _NUMBER, None) for name in ("alpha", "min_mass", "horizon")},
     )
     return ExperimentConfig(
         distribution=dist,

@@ -251,10 +251,15 @@ def test_localized_nonpositive_kappa_exit_code_1(capsys, raw_file):
         (["gof", "--input", "{raw}", "--T", "3", "--model", "mixture", "--tol", "nan"], "tol"),
         (["unseen", "--input", "{raw}", "--t-grid", "nan,1"], "horizon"),
         (["simulate", "--config", "{config}"], "'tol'"),
+        (["localized", "--input", "{large}", "--tol", "nan"], "tol"),
+        (["estimate", "--input", "{large}", "--functional", "entropy", "--method", "localized",
+          "--tol", "nan"], "tol"),
+        (["simulate", "--config", "{zipf_nan}"], "'s'"),
     ],
     ids=["fit-tol-nan", "fit-tol-inf", "estimate-renyi-nan", "estimate-k-beyond-int64",
          "localized-kappa-nan", "penalized-tol-negative", "penalized-c0-nan", "gof-tol-nan",
-         "unseen-t-nan", "simulate-tol-nan"],
+         "unseen-t-nan", "simulate-tol-nan", "localized-tol-nan-no-small-cell",
+         "estimate-localized-tol-nan-no-small-cell", "simulate-zipf-s-nan"],
 )
 def test_nan_infinite_or_oversized_setting_exit_code_1(capsys, raw_file, tmp_path, argv, setting):
     files = {"raw": raw_file}
@@ -264,6 +269,10 @@ def test_nan_infinite_or_oversized_setting_exit_code_1(capsys, raw_file, tmp_pat
         ("config", '{"distribution": {"kind": "uniform", "k": 5}, "sampling": "poisson", '
                    '"n_list": [50], "trials": 2, "estimators": ["empirical"], "seed": 1, '
                    '"tol": NaN}'),
+        ("large", "#format=raw\n#n=10\n500\n600\n"),
+        ("zipf_nan", '{"distribution": {"kind": "zipf", "k": 5, "s": NaN}, '
+                     '"sampling": "poisson", "n_list": [50], "trials": 2, '
+                     '"estimators": ["empirical"], "seed": 1}'),
     ]:
         files[name] = str(tmp_path / name)
         (tmp_path / name).write_text(text)

@@ -178,7 +178,7 @@ def test_correction_rejects_nonpositive_rate():
 def test_combined_reduces_to_corrected_empirical_when_no_small_counts():
     counts = CountData([500, 300, 200], n=1000)
     loc = fit_localized(counts)
-    assert loc.empty
+    assert loc.fit is None
     report = estimate_combined(counts, FunctionalSpec.entropy(), loc)
     manual = sum(
         bias_corrected_g(FunctionalSpec.entropy(), c / 1000, 1000)

@@ -39,6 +39,14 @@ def test_zipf_k3_harmonic_normalization():
     assert np.allclose(dist.probs, [6 / 11, 3 / 11, 2 / 11])
 
 
+def test_a_distribution_that_is_not_finite_is_refused():
+    for s in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(DomainError, match="'s'"):
+            make_distribution("zipf", 5, s=s)
+    with pytest.raises(DomainError, match="finite"):
+        make_distribution("custom", 3, probs=[0.5, 0.5, float("nan")])
+
+
 def test_two_mixed_uniform_halves():
     dist = make_distribution("two_mixed_uniform", 10)
     assert np.allclose(dist.probs[:5], 2 / 50)
@@ -183,6 +191,10 @@ def test_report_config_reruns_to_the_same_report():
     assert report_to_json(run_experiment(config_from_json(json.dumps(echoed)))) == text
 
 
+VALID_CONFIG = {"distribution": {"kind": "uniform", "k": 5}, "sampling": "poisson",
+                "n_list": [50], "trials": 2, "estimators": ["empirical"], "seed": 1}
+
+
 @pytest.mark.parametrize(
     "doc,key",
     [
@@ -196,6 +208,22 @@ def test_report_config_reruns_to_the_same_report():
          "n_list"),
         ({"distribution": {"kind": "uniform", "k": 5}, "functional": 3}, "functional"),
         ({"distribution": {"kind": "uniform", "k": 5}, "functional": {"alpha": 0.5}}, "kind"),
+        # JSON true is no number, though Python counts it as the int 1
+        ({"distribution": {"kind": "uniform", "k": True}}, "k"),
+        ({"distribution": {"kind": "zipf", "k": 5, "s": True}}, "s"),
+        ({"distribution": {"kind": "uniform", "k": 5},
+          "functional": {"kind": "power_sum", "alpha": True}}, "alpha"),
+        ({"distribution": {"kind": "uniform", "k": 5},
+          "functional": {"kind": "power_sum", "alpha": "a"}}, "alpha"),
+        ({"distribution": {"kind": "uniform", "k": 5},
+          "functional": {"kind": "support_size", "min_mass": True}}, "min_mass"),
+        ({"distribution": {"kind": "uniform", "k": 5},
+          "functional": {"kind": "unseen", "horizon": True}}, "horizon"),
+        (dict(VALID_CONFIG, trials=True), "trials"),
+        (dict(VALID_CONFIG, seed=True), "seed"),
+        (dict(VALID_CONFIG, pad_k=True), "pad_k"),
+        (dict(VALID_CONFIG, grid_size=True), "grid_size"),
+        (dict(VALID_CONFIG, tol=True), "tol"),
     ],
 )
 def test_config_from_json_names_the_bad_key(doc, key):
