@@ -130,7 +130,7 @@ class Grid:
         atoms = np.asarray(self.atoms, dtype=float)
         if atoms.ndim != 1 or atoms.size == 0:
             raise DomainError("grid must hold at least one atom")
-        if atoms.min() < 0.0 or atoms.max() > 1.0:
+        if not np.all((atoms >= 0.0) & (atoms <= 1.0)):  # NaN fails it too
             raise DomainError("grid atoms must lie in [0, 1]")
         if atoms.size > 1 and not np.all(np.diff(atoms) > 0):
             raise DomainError("grid atoms must be strictly increasing")
@@ -162,10 +162,10 @@ class MixingDistribution:
         weights = np.asarray(self.weights, dtype=float)
         if atoms.ndim != 1 or atoms.shape != weights.shape or atoms.size == 0:
             raise DomainError("atoms and weights must be matching nonempty vectors")
-        if atoms.min() < 0.0 or atoms.max() > 1.0:
+        if not np.all((atoms >= 0.0) & (atoms <= 1.0)):
             raise DomainError("atoms must lie in [0, 1]")
-        if weights.min() < -1e-9:
-            raise DomainError("weights must be nonnegative")
+        if not np.all(np.isfinite(weights)) or weights.min() < -1e-9:
+            raise DomainError("weights must be finite and nonnegative")
         weights = np.clip(weights, 0.0, None)
         order = np.argsort(atoms, kind="stable")
         atoms, weights = atoms[order], weights[order]
@@ -179,7 +179,8 @@ class MixingDistribution:
         if total <= 0:
             raise DomainError("weights must carry positive total mass")
         weights = weights / total
-        assert abs(weights.sum() - 1.0) <= WEIGHT_SUM_TOL
+        if abs(weights.sum() - 1.0) > WEIGHT_SUM_TOL:
+            raise DomainError("weights do not sum to one after normalization")
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "weights", weights)
 

@@ -25,6 +25,7 @@ from .functionals import (
     estimate,
     good_turing_unseen,
 )
+from .npmle import DEFAULT_KAPPA, DEFAULT_REG, DEFAULT_TOL
 from .npmle import build_grid, fit_localized, fit_npmle, fit_penalized
 from .sim import config_from_json, report_to_csv, report_to_json, run_experiment
 
@@ -40,7 +41,7 @@ _FLAGS = {
     "--k": dict(type=int, default=None, help="override the alphabet size"),
     "--grid-size": dict(type=int, default=None, help="number of grid atoms"),
     "--kernel": dict(choices=("poisson", "binomial"), default="poisson"),
-    "--tol": dict(type=float, default=1e-6, help="certificate tolerance"),
+    "--tol": dict(type=float, default=DEFAULT_TOL, help="certificate tolerance"),
     "--output": dict(default=None, help="output path (default stdout)"),
     "--format": dict(choices=("json", "csv"), default="json"),
 }
@@ -74,12 +75,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("localized", help="fit on the small-rate cells only", allow_abbrev=False)
     _add_flags(p, "--input --n --k --grid-size --kernel --tol --output")
-    p.add_argument("--kappa", type=float, default=3.6, help="threshold multiplier")
+    p.add_argument("--kappa", type=float, default=DEFAULT_KAPPA, help="threshold multiplier")
 
     p = sub.add_parser("penalized", help="joint support-size and mixing fit", allow_abbrev=False)
-    _add_flags(p, "--input --n --grid-size --kernel --tol --output --format")
-    p.add_argument("--c0", type=float, default=10.0, help="tie-break regularizer scale")
-    p.add_argument("--c1", type=float, default=1.0, help="tie-break regularizer exponent")
+    _add_flags(p, "--input --n --kernel --tol --output --format")
+    c0, c1 = DEFAULT_REG
+    p.add_argument("--c0", type=float, default=c0, help="tie-break regularizer scale")
+    p.add_argument("--c1", type=float, default=c1, help="tie-break regularizer exponent")
 
     p = sub.add_parser("gof", help="chi-squared goodness of fit", allow_abbrev=False)
     _add_flags(p, "--input --k --grid-size --tol --output --format")
@@ -193,7 +195,6 @@ def _cmd_penalized(args) -> str:
     counts = _load_counts(args)
     result = fit_penalized(
         counts,
-        m=args.grid_size,
         kernel=MixtureKernel(args.kernel, counts.n),
         tol=args.tol,
         reg=(args.c0, args.c1),

@@ -16,7 +16,7 @@ from scipy.special import chdtrc
 
 from .base import CountData, DomainError, MixingDistribution, MixtureKernel
 from .kernels import log_pmf, mixture_log_density, pmf_truncation_point
-from .npmle import DEFAULT_TOL, FitResult, build_grid, fit_npmle
+from .npmle import DEFAULT_TOL, build_grid, fit_npmle
 
 __all__ = [
     "GofReport",
@@ -107,15 +107,6 @@ def chi2_sf(x: float, dof: int) -> float:
     return float(chdtrc(dof, x))
 
 
-def _expected_mixture(
-    fit: FitResult, kernel: MixtureKernel, T: int, k_T: int
-) -> np.ndarray:
-    js = np.arange(T + 1, dtype=float)
-    logf = np.atleast_1d(mixture_log_density(kernel, fit.mixing, js))
-    f = np.exp(logf)
-    return k_T * f / f.sum()
-
-
 def _expected_empirical(values: np.ndarray, mult: np.ndarray, T: int) -> np.ndarray:
     # Each retained cell contributes the Poisson pmf at its own maximum-
     # likelihood rate (= its count); the aggregate is then conditioned on
@@ -131,8 +122,6 @@ def gof_test(
     counts: CountData,
     model: str,
     T: int,
-    fit: Optional[FitResult] = None,
-    kernel: Optional[MixtureKernel] = None,
     m: Optional[int] = None,
     tol: float = DEFAULT_TOL,
 ) -> GofReport:
@@ -140,11 +129,13 @@ def gof_test(
 
     Both models use only the cells with counts <= T (implicit zeros
     included).  Under "mixture" the expected fingerprint is
-    k_T * f(j) / F(<=T) for the fitted mixture (fitted here on the retained
-    cells unless ``fit`` is supplied); under "p-model" each retained cell
+    k_T * f(j) / F(<=T) for a Poisson mixture fitted here on the retained
+    cells alone, with n their total count; under "p-model" each retained cell
     contributes a conditional Poisson at its empirical rate.  The statistic
     sum_j (phi_j - E[phi_j])^2 / E[phi_j] is referred to the chi-squared
-    distribution with T degrees of freedom.
+    distribution with T degrees of freedom.  ``degenerate`` marks a report
+    whose expected count underflows to zero at an observed value, which makes
+    the statistic infinite.
     """
     if model not in GOF_MODELS:
         raise DomainError(f"unknown goodness-of-fit model {model!r}")
@@ -159,15 +150,13 @@ def gof_test(
     phis = np.zeros(T + 1)
     phis[values] = mult
     if model == "mixture":
-        if fit is None:
-            kept = counts.counts[counts.counts <= T]
-            retained = CountData(kept, n=max(int(kept.sum()), 1), k=k_T)
-            if kernel is None:
-                kernel = MixtureKernel.poisson(retained.n)
-            fit = fit_npmle(retained, build_grid(retained, m), kernel, tol)
-        elif kernel is None:
-            raise DomainError("a pre-computed fit needs its kernel")
-        expected = _expected_mixture(fit, kernel, T, k_T)
+        kept = counts.counts[counts.counts <= T]
+        retained = CountData(kept, n=max(int(kept.sum()), 1), k=k_T)
+        kernel = MixtureKernel.poisson(retained.n)
+        fit = fit_npmle(retained, build_grid(retained, m), kernel, tol)
+        js = np.arange(T + 1, dtype=float)
+        f = np.exp(np.atleast_1d(mixture_log_density(kernel, fit.mixing, js)))
+        expected = k_T * f / f.sum()
     else:
         expected = _expected_empirical(values, mult, T)
     degenerate = bool(np.any((expected == 0) & (phis > 0)))

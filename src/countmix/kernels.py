@@ -65,13 +65,13 @@ def mixture_log_density(kernel: MixtureKernel, mixing: MixingDistribution, x):
     return np.asarray(out)
 
 
-def pmf_truncation_point(kernel: MixtureKernel, r: float = 1.0) -> int:
-    """Count value beyond which the component tail mass is below ~1e-12.
+def pmf_truncation_point(kernel: MixtureKernel) -> int:
+    """Count value beyond which every component's tail mass is below ~1e-12.
 
-    Poisson tail bound: mean + 20 standard deviations + 50.  The binomial has
-    finite support, so its own n is always enough.
+    Poisson tail bound at the largest rate r = 1: mean + 20 standard
+    deviations + 50.  The binomial has finite support, so its own n is always
+    enough.
     """
     if kernel.family == "binomial":
         return kernel.n
-    lam = kernel.n * r
-    return int(math.ceil(lam + 20.0 * math.sqrt(lam) + 50.0))
+    return int(math.ceil(kernel.n + 20.0 * math.sqrt(kernel.n) + 50.0))

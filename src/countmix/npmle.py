@@ -57,12 +57,18 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-6
+# Localized threshold multiplier and penalized tie-break (c0, c1); the CLI
+# flags take their defaults from these.
+DEFAULT_KAPPA = 3.6
+DEFAULT_REG = (10.0, 1.0)
 # Safety bound on constrained-Newton steps per fit, not a setting: the most any
 # fit has been seen to take is 3768 (at tol = 1e-8).
 MAX_NEWTON_STEPS = 20_000
 # The penalized k' search stops once the bracket on log k' is this narrow,
 # i.e. once k' is known to 0.1 %.
 KPRIME_LOG_WIDTH = 1e-3
+# Ceiling of that search, as a multiple of the number of positive counts.
+K_MAX_FACTOR = 50.0
 
 
 @dataclass(frozen=True)
@@ -327,7 +333,7 @@ def fit_localized(
     tol: float = DEFAULT_TOL,
     min_mass: Optional[float] = None,
     *,
-    kappa: float = 3.6,
+    kappa: float = DEFAULT_KAPPA,
 ) -> LocalizedFit:
     """Fit restricted to cells whose empirical rate is below kappa log(n)/n.
 
@@ -380,11 +386,9 @@ def _penalized_objective(
 
 def fit_penalized(
     counts: CountData,
-    m: Optional[int] = None,
     kernel: Optional[MixtureKernel] = None,
     tol: float = DEFAULT_TOL,
-    reg: tuple[float, float] = (10.0, 1.0),
-    k_max_factor: float = 50.0,
+    reg: tuple[float, float] = DEFAULT_REG,
 ) -> PenalizedFitResult:
     """Joint fit of the mixing distribution and a real support size k' >= k.
 
@@ -395,25 +399,28 @@ def fit_penalized(
     slope in k' is log f(0) - log((k'-k)/k') - c0 c1 / k'^(c1+1), with f the
     fit at k'.  It is +inf just above k and turns negative past the point
     where the profile flattens; the search bisects on its sign in log k' over
-    [k, k_max_factor * k] until k' is known to 0.1 %, a fixed number of fits.
+    [k, K_MAX_FACTOR * k] until k' is known to 0.1 %, a fixed number of fits,
+    and raises FitError when the slope is still positive at the ceiling.
     At a selected k_hat > k the fitted mixture satisfies
     f(0) ~= (k_hat - k)/k_hat.
+
+    Every k' is fitted on ``build_grid(counts)``, which is no setting: its
+    first positive atom is the mass floor that makes the support size
+    identifiable, so a finer grid moves k_hat rather than sharpening it.
     """
     if counts.counts.size == 0 or counts.counts.min() < 1:
         raise DomainError("penalized fit requires strictly positive counts")
     if counts.implicit_zeros:
         raise DomainError("zero padding is selected by the fit; supply only positive counts")
-    if k_max_factor <= 1.0:
-        raise DomainError("k_max_factor must exceed 1")
     c0, c1 = reg
     for name, value in (("c0", c0), ("c1", c1)):
         if not math.isfinite(value):
             raise DomainError(f"regularizer {name} must be finite, got {value!r}")
     k = float(counts.k)
-    k_max = k_max_factor * k
+    k_max = K_MAX_FACTOR * k
     if kernel is None:
         kernel = MixtureKernel.poisson(counts.n)
-    grid = build_grid(counts, m)
+    grid = build_grid(counts)
 
     profile: list[tuple[float, float]] = []
     fits: dict[float, FitResult] = {}
@@ -457,11 +464,7 @@ def fit_penalized(
 
 
 def scaled_kl_profile(
-    counts: CountData,
-    k_prime_list,
-    m: Optional[int] = None,
-    kernel: Optional[MixtureKernel] = None,
-    tol: float = DEFAULT_TOL,
+    counts: CountData, k_prime_list, tol: float = DEFAULT_TOL
 ) -> list[tuple[float, float]]:
     """k' * KL(padded count histogram || fitted mixture) per candidate k'.
 
@@ -469,13 +472,13 @@ def scaled_kl_profile(
     (multiplicity c_x) and (k' - k)/k' on zero, so k' * KL is the sum of
     c log(c / k') over the padded cells (the zero cell with c = k' - k) minus
     the padded fit's log-likelihood.  The profile is monotone non-increasing
-    in k' up to solver tolerance.
+    in k' up to solver tolerance.  The padded fits use the Poisson kernel at
+    ``counts.n`` and the grid ``fit_penalized`` searches on.
     """
     if counts.counts.size == 0 or counts.counts.min() < 1:
         raise DomainError("profile requires strictly positive counts")
-    if kernel is None:
-        kernel = MixtureKernel.poisson(counts.n)
-    grid = build_grid(counts, m)
+    kernel = MixtureKernel.poisson(counts.n)
+    grid = build_grid(counts)
     _, mult = counts.unique_with_multiplicity()
     out: list[tuple[float, float]] = []
     for kp in k_prime_list:

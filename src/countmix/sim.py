@@ -94,6 +94,8 @@ def make_distribution(
         if probs is None:
             raise DomainError("custom distribution needs explicit probabilities")
         p = np.asarray(probs, dtype=float)
+        if p.size == 0:
+            raise DomainError("custom distribution: 'probs' must not be empty")
         return TrueDistribution("custom", p.size, p / p.sum())
     if k < 1:
         raise DomainError("k must be >= 1")
@@ -274,7 +276,6 @@ def w1_curve(
     trials: int,
     seed: int,
     sampling: str = "poisson",
-    tol: float = DEFAULT_TOL,
 ) -> list[tuple[int, float]]:
     """Mean 1-Wasserstein error of the fitted mixing distribution per n."""
     target = histogram_distribution(dist)
@@ -283,7 +284,7 @@ def w1_curve(
         values = []
         for t in range(trials):
             counts = sample(dist, sampling, n, _rng(seed, ni * 1_000_000 + t))
-            values.append(wasserstein(fit_npmle(counts, tol=tol).mixing, target))
+            values.append(wasserstein(fit_npmle(counts).mixing, target))
         out.append((int(n), float(np.mean(values))))
     return out
 

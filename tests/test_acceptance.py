@@ -145,17 +145,19 @@ def brute_force_loglik(counts, grid, kernel, resolution=1e-3):
     values, mult = counts.unique_with_multiplicity()
     A = np.exp(log_pmf(kernel, values[:, None].astype(float), grid.atoms[None, :]))
     steps = int(round(1.0 / resolution))
+    # Every lattice point (a, b, c) / steps with a + b + c = steps, built once
+    # and shared by all supports.
+    rows = []
+    for a in range(steps + 1):
+        b = np.arange(steps - a + 1)
+        rows.append(np.stack([np.full(b.size, a), b, steps - a - b], axis=1))
+    W = np.concatenate(rows) / steps
     best = -math.inf
     for support in combinations(range(A.shape[1]), 3):
-        cols = A[:, support]
-        for a in range(steps + 1):
-            rest = steps - a
-            b = np.arange(rest + 1)
-            W = np.stack([np.full(rest + 1, a), b, rest - b], axis=1) / steps
-            f = W @ cols.T
-            with np.errstate(divide="ignore"):
-                ll = (np.log(f) * mult).sum(axis=1)
-            best = max(best, float(ll.max()))
+        f = W @ A[:, support].T
+        with np.errstate(divide="ignore"):
+            ll = (np.log(f) * mult).sum(axis=1)
+        best = max(best, float(ll.max()))
     return best
 
 

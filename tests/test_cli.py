@@ -255,11 +255,13 @@ def test_localized_nonpositive_kappa_exit_code_1(capsys, raw_file):
         (["estimate", "--input", "{large}", "--functional", "entropy", "--method", "localized",
           "--tol", "nan"], "tol"),
         (["simulate", "--config", "{zipf_nan}"], "'s'"),
+        (["simulate", "--config", "{custom_empty}"], "'probs'"),
     ],
     ids=["fit-tol-nan", "fit-tol-inf", "estimate-renyi-nan", "estimate-k-beyond-int64",
          "localized-kappa-nan", "penalized-tol-negative", "penalized-c0-nan", "gof-tol-nan",
          "unseen-t-nan", "simulate-tol-nan", "localized-tol-nan-no-small-cell",
-         "estimate-localized-tol-nan-no-small-cell", "simulate-zipf-s-nan"],
+         "estimate-localized-tol-nan-no-small-cell", "simulate-zipf-s-nan",
+         "simulate-custom-probs-empty"],
 )
 def test_nan_infinite_or_oversized_setting_exit_code_1(capsys, raw_file, tmp_path, argv, setting):
     files = {"raw": raw_file}
@@ -273,6 +275,9 @@ def test_nan_infinite_or_oversized_setting_exit_code_1(capsys, raw_file, tmp_pat
         ("zipf_nan", '{"distribution": {"kind": "zipf", "k": 5, "s": NaN}, '
                      '"sampling": "poisson", "n_list": [50], "trials": 2, '
                      '"estimators": ["empirical"], "seed": 1}'),
+        ("custom_empty", '{"distribution": {"kind": "custom", "probs": []}, '
+                         '"sampling": "poisson", "n_list": [50], "trials": 2, '
+                         '"estimators": ["empirical"], "seed": 1}'),
     ]:
         files[name] = str(tmp_path / name)
         (tmp_path / name).write_text(text)
@@ -316,7 +321,7 @@ SHARED = {
     "fit": "--input --n --k --grid-size --kernel --tol --output",
     "estimate": "--input --n --k --grid-size --kernel --tol --output --format",
     "localized": "--input --n --k --grid-size --kernel --tol --output",
-    "penalized": "--input --n --grid-size --kernel --tol --output --format",
+    "penalized": "--input --n --kernel --tol --output --format",
     "gof": "--input --k --grid-size --tol --output --format",
     "unseen": "--input --n --k --grid-size --kernel --tol --output --format",
     "simulate": "--output --format",
@@ -332,6 +337,7 @@ DROPPED = [
     ("unseen", "--seed", "1"),
     ("penalized", "--seed", "1"),
     ("penalized", "--k", "4"),
+    ("penalized", "--grid-size", "50"),
     ("gof", "--seed", "1"),
     ("gof", "--kernel", "binomial"),
     ("gof", "--n", "7"),

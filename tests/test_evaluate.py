@@ -152,11 +152,8 @@ def test_chi2_sf_against_mpmath_oracle():
 # ---------------------------------------------------------------- gof_test
 
 
-def test_gof_perfect_model_statistic_zero():
-    # point mass at rate zero reproduces an all-zeros fingerprint exactly
-    counts = CountData(np.zeros(25, dtype=int), n=1)
-    kern = MixtureKernel.poisson(1)
-    fit = FitResult(
+def point_mass_at_zero_fit(counts, grid, kernel, tol):
+    return FitResult(
         mixing=MixingDistribution.point_mass(0.0),
         log_likelihood=0.0,
         optimality_gap=0.0,
@@ -164,24 +161,25 @@ def test_gof_perfect_model_statistic_zero():
         converged=True,
         grid=Grid(np.array([0.0])),
     )
-    report = gof_test(counts, "mixture", T=5, fit=fit, kernel=kern)
+
+
+def test_gof_perfect_model_statistic_zero():
+    # the fit is a point mass at rate zero, which reproduces an all-zeros
+    # fingerprint exactly
+    counts = CountData(np.zeros(25, dtype=int), n=1)
+    report = gof_test(counts, "mixture", T=5)
     assert report.statistic == 0.0
     assert report.p_value == 1.0
     assert report.dof == 5
 
 
-def test_gof_degenerate_expected_flags_report():
+def test_gof_degenerate_expected_flags_report(monkeypatch):
+    # a mixture fitted to these cells gives every count positive density, so
+    # the fit is replaced by a point mass at zero, under which the observed
+    # 3s have expected count exactly zero (as underflow gives at huge counts)
+    monkeypatch.setattr("countmix.evaluate.fit_npmle", point_mass_at_zero_fit)
     counts = CountData([0] * 10 + [3] * 2, n=6)
-    kern = MixtureKernel.poisson(1)
-    fit = FitResult(
-        mixing=MixingDistribution.point_mass(0.0),
-        log_likelihood=0.0,
-        optimality_gap=0.0,
-        iterations=0,
-        converged=True,
-        grid=Grid(np.array([0.0])),
-    )
-    report = gof_test(counts, "mixture", T=4, fit=fit, kernel=kern)
+    report = gof_test(counts, "mixture", T=4)
     assert report.degenerate
     assert report.statistic == math.inf
     assert report.p_value == 0.0

@@ -36,7 +36,7 @@ def test_binomial_log_pmf_closed_forms():
 )
 def test_pmf_sums_to_one(n, r, family):
     kern = MixtureKernel(family, n)
-    top = pmf_truncation_point(kern, max(r, 1e-9))
+    top = pmf_truncation_point(kern)
     xs = np.arange(top + 1)
     total = np.exp(log_pmf(kern, xs, r)).sum()
     assert total == pytest.approx(1.0, abs=1e-9)
@@ -97,6 +97,21 @@ def test_mixture_density_linear_in_weights(lam, x, data):
         mixture_log_density(kern, pi2, x)
     )
     assert f_mix == pytest.approx(f_sep, rel=1e-12, abs=1e-300)
+
+
+@pytest.mark.parametrize(
+    "build,name",
+    [
+        (lambda: MixingDistribution([0.1], [math.nan]), "weights"),
+        (lambda: MixingDistribution([0.1, 0.2], [1.0, math.inf]), "weights"),
+        (lambda: MixingDistribution([math.nan], [1.0]), "atoms"),
+        (lambda: Grid([math.nan]), "atoms"),
+    ],
+    ids=["weight-nan", "weight-inf", "atom-nan", "grid-atom-nan"],
+)
+def test_non_finite_atoms_or_weights_are_refused_by_name(build, name):
+    with pytest.raises(DomainError, match=name):
+        build()
 
 
 def test_unique_counts_collapse_and_zero_rate_log_pmf():

@@ -131,19 +131,12 @@ def test_distinct_counts_kl_is_nonnegative_at_k():
     assert profile[0][1] >= -1e-12
 
 
-def test_search_ceiling_raises():
+def test_search_ceiling_raises(monkeypatch):
     from countmix import FitError
 
     # singleton counts put f(0) ~ e^-1, wanting k_hat ~ 1.58 k; a bracket
     # capped just above k cannot contain it
+    monkeypatch.setattr("countmix.npmle.K_MAX_FACTOR", 1.0 + 1e-9)
     counts = CountData([1, 1, 1, 1], n=400)
-    with pytest.raises(FitError):
-        fit_penalized(counts, k_max_factor=1.0 + 1e-9)
-
-
-@pytest.mark.parametrize("factor", [0.5, 1.0])
-def test_search_ceiling_at_or_below_k_rejected(factor):
-    # a ceiling at or below k leaves no bracket to search
-    counts = CountData([1, 1, 1, 1], n=400)
-    with pytest.raises(DomainError):
-        fit_penalized(counts, k_max_factor=factor)
+    with pytest.raises(FitError, match="bracket ceiling"):
+        fit_penalized(counts)

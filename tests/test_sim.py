@@ -45,6 +45,8 @@ def test_a_distribution_that_is_not_finite_is_refused():
             make_distribution("zipf", 5, s=s)
     with pytest.raises(DomainError, match="finite"):
         make_distribution("custom", 3, probs=[0.5, 0.5, float("nan")])
+    with pytest.raises(DomainError, match="'probs'"):
+        make_distribution("custom", 0, probs=[])
 
 
 def test_two_mixed_uniform_halves():
