@@ -26,7 +26,7 @@ from .functionals import (
     good_turing_unseen,
 )
 from .npmle import DEFAULT_KAPPA, DEFAULT_REG, DEFAULT_TOL
-from .npmle import build_grid, fit_localized, fit_npmle, fit_penalized
+from .npmle import fit_localized, fit_npmle, fit_penalized
 from .sim import config_from_json, report_to_csv, report_to_json, run_experiment
 
 USAGE_ERROR = 2
@@ -39,7 +39,6 @@ _FLAGS = {
     "--input": dict(required=True, help="count file (raw or fingerprint)"),
     "--n": dict(type=int, default=None, help="override the concentration"),
     "--k": dict(type=int, default=None, help="override the alphabet size"),
-    "--grid-size": dict(type=int, default=None, help="number of grid atoms"),
     "--kernel": dict(choices=("poisson", "binomial"), default="poisson"),
     "--tol": dict(type=float, default=DEFAULT_TOL, help="certificate tolerance"),
     "--output": dict(default=None, help="output path (default stdout)"),
@@ -62,10 +61,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("fit", help="fit the mixing distribution", allow_abbrev=False)
-    _add_flags(p, "--input --n --k --grid-size --kernel --tol --output")
+    _add_flags(p, "--input --n --k --kernel --tol --output")
 
     p = sub.add_parser("estimate", help="estimate a symmetric functional", allow_abbrev=False)
-    _add_flags(p, "--input --n --k --grid-size --kernel --tol --output --format")
+    _add_flags(p, "--input --n --k --kernel --tol --output --format")
     p.add_argument(
         "--functional",
         required=True,
@@ -74,7 +73,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", required=True, choices=METHODS)
 
     p = sub.add_parser("localized", help="fit on the small-rate cells only", allow_abbrev=False)
-    _add_flags(p, "--input --n --k --grid-size --kernel --tol --output")
+    _add_flags(p, "--input --n --k --kernel --tol --output")
     p.add_argument("--kappa", type=float, default=DEFAULT_KAPPA, help="threshold multiplier")
 
     p = sub.add_parser("penalized", help="joint support-size and mixing fit", allow_abbrev=False)
@@ -84,12 +83,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c1", type=float, default=c1, help="tie-break regularizer exponent")
 
     p = sub.add_parser("gof", help="chi-squared goodness of fit", allow_abbrev=False)
-    _add_flags(p, "--input --k --grid-size --tol --output --format")
+    _add_flags(p, "--input --k --tol --output --format")
     p.add_argument("--T", type=int, required=True, help="count truncation level")
     p.add_argument("--model", choices=("mixture", "p-model"), required=True)
 
     p = sub.add_parser("unseen", help="discovery curve of new categories", allow_abbrev=False)
-    _add_flags(p, "--input --n --k --grid-size --kernel --tol --output --format")
+    _add_flags(p, "--input --n --k --kernel --tol --output --format")
     p.add_argument("--t-grid", required=True, help="comma-separated horizons, e.g. 0.5,1,2,4")
     p.add_argument("--method", choices=("plugin", "good-turing"), default="plugin")
 
@@ -148,8 +147,7 @@ def _csv_rows(rows: list[list]) -> str:
 
 def _cmd_fit(args) -> str:
     counts = _load_counts(args)
-    grid = build_grid(counts, args.grid_size)
-    fit = fit_npmle(counts, grid, MixtureKernel(args.kernel, counts.n), args.tol)
+    fit = fit_npmle(counts, kernel=MixtureKernel(args.kernel, counts.n), tol=args.tol)
     return cmio.write_fit(fit)
 
 
@@ -161,7 +159,6 @@ def _cmd_estimate(args) -> str:
         spec,
         args.method,
         kernel=MixtureKernel(args.kernel, counts.n),
-        m=args.grid_size,
         tol=args.tol,
     )
     if args.format == "csv":
@@ -176,7 +173,6 @@ def _cmd_localized(args) -> str:
     loc = fit_localized(
         counts,
         kernel=MixtureKernel(args.kernel, counts.n),
-        m=args.grid_size,
         tol=args.tol,
         kappa=args.kappa,
     )
@@ -207,7 +203,7 @@ def _cmd_penalized(args) -> str:
 
 def _cmd_gof(args) -> str:
     counts = _load_counts(args)
-    report = gof_test(counts, args.model, args.T, m=args.grid_size, tol=args.tol)
+    report = gof_test(counts, args.model, args.T, tol=args.tol)
     if args.format == "csv":
         return _csv_rows(
             [["T", "model", "statistic", "p_value"],
@@ -222,8 +218,7 @@ def _cmd_unseen(args) -> str:
     if not horizons:
         raise DomainError("empty --t-grid")
     if args.method == "plugin":
-        grid = build_grid(counts, args.grid_size)
-        fit = fit_npmle(counts, grid, MixtureKernel(args.kernel, counts.n), args.tol)
+        fit = fit_npmle(counts, kernel=MixtureKernel(args.kernel, counts.n), tol=args.tol)
         curve = discovery_curve(fit.mixing, counts.k, counts.n, horizons)
     else:
         curve = [(t, good_turing_unseen(counts, t).value) for t in horizons]
@@ -263,7 +258,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         text = _HANDLERS[args.command](args)
-    except (DomainError, FitError, ParseError, OSError, ValueError) as exc:
+    except (DomainError, FitError, ParseError, OSError, ValueError, MemoryError) as exc:
         print(f"countmix {args.command}: error: {exc}", file=sys.stderr)
         return COMPUTE_ERROR
     _emit(args, text)

@@ -9,14 +9,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy.special import chdtrc
 
 from .base import CountData, DomainError, MixingDistribution, MixtureKernel
 from .kernels import log_pmf, mixture_log_density, pmf_truncation_point
-from .npmle import DEFAULT_TOL, build_grid, fit_npmle
+from .npmle import DEFAULT_TOL, fit_npmle
 
 __all__ = [
     "GofReport",
@@ -122,7 +121,7 @@ def gof_test(
     counts: CountData,
     model: str,
     T: int,
-    m: Optional[int] = None,
+    *,
     tol: float = DEFAULT_TOL,
 ) -> GofReport:
     """Chi-squared goodness of fit on the count histogram truncated at T.
@@ -153,7 +152,7 @@ def gof_test(
         kept = counts.counts[counts.counts <= T]
         retained = CountData(kept, n=max(int(kept.sum()), 1), k=k_T)
         kernel = MixtureKernel.poisson(retained.n)
-        fit = fit_npmle(retained, build_grid(retained, m), kernel, tol)
+        fit = fit_npmle(retained, kernel=kernel, tol=tol)
         js = np.arange(T + 1, dtype=float)
         f = np.exp(np.atleast_1d(mixture_log_density(kernel, fit.mixing, js)))
         expected = k_T * f / f.sum()

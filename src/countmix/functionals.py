@@ -298,8 +298,8 @@ def estimate(
     counts: CountData,
     spec: FunctionalSpec,
     method: str,
+    *,
     kernel=None,
-    m: Optional[int] = None,
     tol: float = DEFAULT_TOL,
 ) -> EstimateReport:
     """One-stop estimation routing to the requested method.
@@ -313,11 +313,11 @@ def estimate(
         spec.resolved_min_mass(counts.k) if spec.kind == "support_size" else None
     )
     if method == "plugin":
-        grid = build_grid(counts, m, min_mass=min_mass)
+        grid = build_grid(counts, min_mass=min_mass)
         fit = fit_npmle(counts, grid, kernel, tol)
         return plugin(spec, fit.mixing, counts.k, counts.n, fit=fit)
     if method == "localized":
-        loc = fit_localized(counts, kernel, m, tol, min_mass=min_mass)
+        loc = fit_localized(counts, kernel=kernel, tol=tol, min_mass=min_mass)
         return estimate_combined(counts, spec, loc)
     if method == "empirical":
         return empirical_plugin(counts, spec)

@@ -49,7 +49,6 @@ __all__ = [
     "PenalizedFitResult",
     "build_grid",
     "certificate",
-    "default_grid_size",
     "fit_localized",
     "fit_npmle",
     "fit_penalized",
@@ -121,21 +120,18 @@ class PenalizedFitResult:
     fit: FitResult
 
 
-def default_grid_size(k: int) -> int:
-    """Grid size rule: sqrt(k)*10 clipped to [500, 2000]."""
-    return int(max(500, min(2000, math.ceil(math.sqrt(max(k, 1)) * 10))))
-
-
 def build_grid(
     counts: CountData,
-    m: Optional[int] = None,
+    *,
     upper: Optional[float] = None,
     min_mass: Optional[float] = None,
 ) -> Grid:
     """Data-driven grid over candidate rates in [0, 1].
 
-    Let pbar = min(max_i N_i / n, 1) and tau = min(1.6 log(n)/n, 1).  When
-    pbar <= tau the grid is ``m`` uniform points on [0, pbar]; otherwise half
+    The atom count m is ceil(10 sqrt(k)) clipped to [500, 2000], so the grid
+    depends on the counts alone (pass a ``Grid`` to ``fit_npmle`` for other
+    atoms).  Let pbar = min(max_i N_i / n, 1) and tau = min(1.6 log(n)/n, 1).
+    When pbar <= tau the grid is m uniform points on [0, pbar]; otherwise half
     of the points are placed uniformly on [0, tau] and the rest on
     (tau, pbar], concentrating resolution where small rates live.  The grid
     always contains 0 and pbar.
@@ -145,10 +141,7 @@ def build_grid(
     declared, as in support-size estimation.  All-zero counts degenerate to
     {0} plus nine auxiliary points in [0, 1/n].
     """
-    if m is None:
-        m = default_grid_size(counts.k)
-    if m < 2:
-        raise DomainError("grid size m must be >= 2")
+    m = max(500, min(2000, math.ceil(math.sqrt(max(counts.k, 1)) * 10)))
     n = counts.n
     pbar = min(counts.max_count() / n, 1.0)
     if upper is not None:
@@ -328,11 +321,10 @@ def certificate(
 
 def fit_localized(
     counts: CountData,
+    *,
     kernel: Optional[MixtureKernel] = None,
-    m: Optional[int] = None,
     tol: float = DEFAULT_TOL,
     min_mass: Optional[float] = None,
-    *,
     kappa: float = DEFAULT_KAPPA,
 ) -> LocalizedFit:
     """Fit restricted to cells whose empirical rate is below kappa log(n)/n.
@@ -352,7 +344,7 @@ def fit_localized(
     if n_small == 0:
         return LocalizedFit(None, 0, large_counts, threshold)
     sub = CountData(counts.counts[small_mask], n=n, k=n_small)
-    grid = build_grid(sub, m, upper=threshold, min_mass=min_mass)
+    grid = build_grid(sub, upper=threshold, min_mass=min_mass)
     fit = fit_npmle(sub, grid, kernel, tol)
     return LocalizedFit(fit, n_small, large_counts, threshold)
 
@@ -483,6 +475,8 @@ def scaled_kl_profile(
     out: list[tuple[float, float]] = []
     for kp in k_prime_list:
         kp = float(kp)
+        if not math.isfinite(kp):
+            raise DomainError(f"k' must be finite, got {kp!r}")
         if kp < counts.k:
             raise DomainError("k' must be at least the number of positive counts")
         fit = _fit_padded(counts, kp, grid, kernel, tol)

@@ -173,7 +173,6 @@ class ExperimentConfig:
     seed: int
     functional: FunctionalSpec = field(default_factory=FunctionalSpec.entropy)
     pad_k: Optional[int] = None
-    grid_size: Optional[int] = None
     tol: float = DEFAULT_TOL
 
     def __post_init__(self):
@@ -225,13 +224,7 @@ def _one_trial(config: ExperimentConfig, n: int, stream: int) -> dict[str, float
         counts = CountData(counts.counts, n=counts.n, k=config.pad_k)
     out = {}
     for name in config.estimators:
-        out[name] = estimate(
-            counts,
-            config.functional,
-            method=name,
-            m=config.grid_size,
-            tol=config.tol,
-        ).value
+        out[name] = estimate(counts, config.functional, method=name, tol=config.tol).value
     return out
 
 
@@ -309,13 +302,20 @@ def _config_to_dict(config: ExperimentConfig) -> dict:
         "seed": config.seed,
         "functional": spec,
         "pad_k": config.pad_k,
-        "grid_size": config.grid_size,
         "tol": config.tol,
     }
 
 
 _REQUIRED = object()
 _NUMBER = (int, float)
+# Every key config_from_json reads, per level: any other key is a DomainError
+# naming it, and ``_config_to_dict`` writes no other.
+_KEYS = {
+    "top": ("distribution", "sampling", "n_list", "trials", "estimators", "seed",
+            "functional", "pad_k", "tol"),
+    "distribution": ("kind", "k", "s", "probs"),
+    "functional": ("kind", "alpha", "min_mass", "horizon"),
+}
 
 
 def _read(doc, key: str, kind, default=_REQUIRED):
@@ -333,10 +333,20 @@ def _read(doc, key: str, kind, default=_REQUIRED):
     return doc[key]
 
 
+def _refuse_unread(doc: dict, level: str) -> None:
+    """A key outside ``_KEYS[level]`` is a DomainError naming it: nothing reads it."""
+    for key in doc:
+        if key not in _KEYS[level]:
+            where = "" if level == "top" else f" in {level!r}"
+            raise DomainError(f"config: unknown key {key!r}{where}")
+
+
 def config_from_json(text: str) -> ExperimentConfig:
-    """Parse an experiment description from its JSON form."""
+    """Parse an experiment description from its JSON form; see ``_KEYS``."""
     doc = json.loads(text)
     dist_doc = _read(doc, "distribution", dict)
+    _refuse_unread(doc, "top")
+    _refuse_unread(dist_doc, "distribution")
     probs = _read(dist_doc, "probs", list, None)
     dist = make_distribution(
         _read(dist_doc, "kind", str),
@@ -347,6 +357,7 @@ def config_from_json(text: str) -> ExperimentConfig:
     spec_doc = _read(doc, "functional", (str, dict), "entropy")
     if isinstance(spec_doc, str):
         spec_doc = {"kind": spec_doc}
+    _refuse_unread(spec_doc, "functional")
     spec = FunctionalSpec(
         _read(spec_doc, "kind", str),
         **{name: _read(spec_doc, name, _NUMBER, None) for name in ("alpha", "min_mass", "horizon")},
@@ -360,7 +371,6 @@ def config_from_json(text: str) -> ExperimentConfig:
         seed=_read(doc, "seed", int),
         functional=spec,
         pad_k=_read(doc, "pad_k", int, None),
-        grid_size=_read(doc, "grid_size", int, None),
         tol=float(_read(doc, "tol", _NUMBER, DEFAULT_TOL)),
     )
 

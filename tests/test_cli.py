@@ -256,12 +256,15 @@ def test_localized_nonpositive_kappa_exit_code_1(capsys, raw_file):
           "--tol", "nan"], "tol"),
         (["simulate", "--config", "{zipf_nan}"], "'s'"),
         (["simulate", "--config", "{custom_empty}"], "'probs'"),
+        (["simulate", "--config", "{grid_size}"], "'grid_size'"),
+        (["gof", "--input", "{raw}", "--T", "1000000000000000", "--model", "p-model"],
+         "Unable to allocate"),
     ],
     ids=["fit-tol-nan", "fit-tol-inf", "estimate-renyi-nan", "estimate-k-beyond-int64",
          "localized-kappa-nan", "penalized-tol-negative", "penalized-c0-nan", "gof-tol-nan",
          "unseen-t-nan", "simulate-tol-nan", "localized-tol-nan-no-small-cell",
          "estimate-localized-tol-nan-no-small-cell", "simulate-zipf-s-nan",
-         "simulate-custom-probs-empty"],
+         "simulate-custom-probs-empty", "simulate-grid-size-key", "gof-T-out-of-memory"],
 )
 def test_nan_infinite_or_oversized_setting_exit_code_1(capsys, raw_file, tmp_path, argv, setting):
     files = {"raw": raw_file}
@@ -278,6 +281,9 @@ def test_nan_infinite_or_oversized_setting_exit_code_1(capsys, raw_file, tmp_pat
         ("custom_empty", '{"distribution": {"kind": "custom", "probs": []}, '
                          '"sampling": "poisson", "n_list": [50], "trials": 2, '
                          '"estimators": ["empirical"], "seed": 1}'),
+        ("grid_size", '{"distribution": {"kind": "uniform", "k": 5}, "sampling": "poisson", '
+                      '"n_list": [50], "trials": 2, "estimators": ["empirical"], "seed": 1, '
+                      '"grid_size": 50}'),
     ]:
         files[name] = str(tmp_path / name)
         (tmp_path / name).write_text(text)
@@ -318,12 +324,12 @@ def test_binomial_kernel_flag(capsys, raw_file):
 
 # The flags each subcommand shares with others; its own flags are ``extra``.
 SHARED = {
-    "fit": "--input --n --k --grid-size --kernel --tol --output",
-    "estimate": "--input --n --k --grid-size --kernel --tol --output --format",
-    "localized": "--input --n --k --grid-size --kernel --tol --output",
+    "fit": "--input --n --k --kernel --tol --output",
+    "estimate": "--input --n --k --kernel --tol --output --format",
+    "localized": "--input --n --k --kernel --tol --output",
     "penalized": "--input --n --kernel --tol --output --format",
-    "gof": "--input --k --grid-size --tol --output --format",
-    "unseen": "--input --n --k --grid-size --kernel --tol --output --format",
+    "gof": "--input --k --tol --output --format",
+    "unseen": "--input --n --k --kernel --tol --output --format",
     "simulate": "--output --format",
 }
 
@@ -346,6 +352,11 @@ DROPPED = [
     ("simulate", "--grid-size", "3"),
     ("simulate", "--kernel", "binomial"),
     ("simulate", "--tol", "1e-3"),
+    ("fit", "--grid-size", "50"),
+    ("estimate", "--grid-size", "50"),
+    ("localized", "--grid-size", "50"),
+    ("gof", "--grid-size", "50"),
+    ("unseen", "--grid-size", "50"),
 ]
 
 
@@ -371,7 +382,8 @@ def test_help_lists_every_flag(capsys, command, extra):
     assert not listed & {flag for cmd, flag, _ in DROPPED if cmd == command}
 
 
-# Unique prefixes of live flags: each flag has one spelling, so none is read.
+# Unique prefixes of live flags (and ``--grid``, once a prefix of the deleted
+# ``--grid-size``): each flag has one spelling, so none is read.
 ABBREVIATIONS = [
     ("fit", "--kern", "binomial"),
     ("fit", "--grid", "50"),

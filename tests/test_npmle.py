@@ -7,9 +7,12 @@ from countmix import (
     CountData,
     DomainError,
     FitError,
+    FunctionalSpec,
     MixingDistribution,
     MixtureKernel,
+    estimate,
     fit_npmle,
+    gof_test,
     make_distribution,
     sample,
 )
@@ -19,7 +22,6 @@ from countmix.npmle import (
     FitResult,
     build_grid,
     certificate,
-    default_grid_size,
     fit_localized,
     fit_penalized,
     scaled_kl_profile,
@@ -35,45 +37,61 @@ def rng(stream):
 
 def test_grid_all_zero_counts_degenerates():
     counts = CountData([0, 0, 0], n=50)
-    grid = build_grid(counts, m=500)
+    grid = build_grid(counts)
     assert grid.atoms[0] == 0.0
     assert grid.atoms[-1] == pytest.approx(1.0 / 50)
     assert len(grid) == 10
 
 
 def test_grid_small_max_count_is_uniform():
-    # n=100, max count 2: pbar = 0.02 below tau = 1.6 log(100)/100 ~ 0.0737
+    # n=100, max count 2: pbar = 0.02 below tau = 1.6 log(100)/100 ~ 0.0737;
+    # k = 3 takes the 500-atom floor
     counts = CountData([0, 1, 2], n=100)
-    grid = build_grid(counts, m=11)
-    assert len(grid) == 11
-    assert np.allclose(grid.atoms, np.linspace(0.0, 0.02, 11))
+    grid = build_grid(counts)
+    assert len(grid) == 500
+    assert np.allclose(grid.atoms, np.linspace(0.0, 0.02, 500))
 
 
 def test_grid_splits_around_tau():
     counts = CountData([500, 1], n=1000)
-    m = 10
-    grid = build_grid(counts, m=m)
+    grid = build_grid(counts)
     tau = 1.6 * math.log(1000) / 1000
     lo = grid.atoms[grid.atoms <= tau]
     hi = grid.atoms[grid.atoms > tau]
-    assert np.allclose(lo, np.linspace(0.0, tau, 5))
-    assert np.allclose(hi, tau + (0.5 - tau) * np.arange(1, 6) / 5)
+    assert np.allclose(lo, np.linspace(0.0, tau, 250))
+    assert np.allclose(hi, tau + (0.5 - tau) * np.arange(1, 251) / 250)
     assert grid.atoms[0] == 0.0
     assert grid.atoms[-1] == pytest.approx(0.5)
 
 
 def test_grid_respects_min_mass():
     counts = CountData([3, 8], n=10)
-    grid = build_grid(counts, m=200, min_mass=0.1)
+    grid = build_grid(counts, min_mass=0.1)
     inside = (grid.atoms > 0) & (grid.atoms < 0.1)
     assert not inside.any()
     assert grid.atoms[0] == 0.0
+    # the atoms at and above min_mass are those of the unconstrained grid
+    full = build_grid(counts).atoms
+    assert np.array_equal(grid.atoms[1:], full[full >= 0.1])
 
 
 def test_default_grid_size_rule():
-    assert default_grid_size(1) == 500
-    assert default_grid_size(10_000) == 1000
-    assert default_grid_size(1_000_000) == 2000
+    # ceil(10 sqrt(k)) atoms clipped to [500, 2000]; implicit zeros count in k
+    for k, m in ((1, 500), (10_000, 1000), (1_000_000, 2000)):
+        assert len(build_grid(CountData([500], n=1000, k=k))) == m
+
+
+def test_a_stale_positional_grid_size_is_a_type_error():
+    # settings after the data are keyword-only, so a leftover m cannot land in tol
+    counts = CountData([1, 2, 5], n=10)
+    for call in (
+        lambda: build_grid(counts, 500),
+        lambda: fit_localized(counts, None, 500),
+        lambda: estimate(counts, FunctionalSpec.entropy(), "plugin", None, 500),
+        lambda: gof_test(counts, "mixture", 3, 500),
+    ):
+        with pytest.raises(TypeError):
+            call()
 
 
 # ----------------------------------------------------------------- fit_npmle
@@ -333,7 +351,9 @@ FITS = {
     "fit_npmle": fit_npmle,
     "fit_localized": fit_localized,
     "fit_penalized": fit_penalized,
-    "scaled_kl_profile": lambda counts, **kw: scaled_kl_profile(counts, [2 * counts.k], **kw),
+    "scaled_kl_profile": lambda counts, k_prime_list=None, **kw: scaled_kl_profile(
+        counts, k_prime_list or [2 * counts.k], **kw
+    ),
 }
 
 
@@ -354,6 +374,9 @@ def test_every_fit_rejects_a_tol_that_is_not_positive_and_finite(name, tol):
         ("fit_penalized", {"reg": (math.nan, 1.0)}, "c0"),
         ("fit_penalized", {"reg": (10.0, math.nan)}, "c1"),
         ("fit_penalized", {"reg": (math.inf, 1.0)}, "c0"),
+        ("scaled_kl_profile", {"k_prime_list": [math.nan]}, "k'"),
+        ("scaled_kl_profile", {"k_prime_list": [math.inf]}, "k'"),
+        ("scaled_kl_profile", {"k_prime_list": [6.0, -math.inf]}, "k'"),
     ],
 )
 def test_nan_and_infinite_settings_are_rejected_by_name(name, settings, setting):

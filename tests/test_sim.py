@@ -226,6 +226,12 @@ VALID_CONFIG = {"distribution": {"kind": "uniform", "k": 5}, "sampling": "poisso
         (dict(VALID_CONFIG, pad_k=True), "pad_k"),
         (dict(VALID_CONFIG, grid_size=True), "grid_size"),
         (dict(VALID_CONFIG, tol=True), "tol"),
+        # a key that nothing reads is refused by name, at every level
+        (dict(VALID_CONFIG, grid_size=50), "grid_size"),
+        (dict(VALID_CONFIG, tolerance=5), "tolerance"),
+        (dict(VALID_CONFIG, distribution={"kind": "zipf", "k": 5, "S": 3.0}), "S"),
+        (dict(VALID_CONFIG, functional={"kind": "power_sum", "alpha": 0.5, "Alpha": 0.7}),
+         "Alpha"),
     ],
 )
 def test_config_from_json_names_the_bad_key(doc, key):
