@@ -22,6 +22,11 @@ log-likelihood are the solver's own, taken from the mixture density f = B w
 at the returned weights; ``certificate`` stays the independent check, which
 recomputes the gap from fresh pmf evaluations and the mixing distribution
 alone.
+
+B is the row-scaled d x m pmf matrix (d distinct counts, m grid atoms).  It
+is built from m per-atom logarithms, the log pmf being linear in the count,
+and the penalized search and ``scaled_kl_profile`` build it once per call:
+each k' changes only the multiplicity of the padded zero row.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from typing import Optional
 
 import numpy as np
 from scipy.optimize import nnls
+from scipy.special import gammaln
 
 from .base import (
     CountData,
@@ -232,18 +238,52 @@ def _solve_weights(
     return w, f, max(gap, 0.0), iterations
 
 
+def _linear_logs(out: np.ndarray, x: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+    """out[i, j] = x_i a_j + b_j, where a row with x_i = 0 takes 0 log 0 = 0."""
+    with np.errstate(invalid="ignore"):
+        np.multiply.outer(x, a, out=out)
+    out[x == 0.0] = 0.0
+    out += b
+
+
 def _prepare_rows(
     values: np.ndarray, grid: Grid, kernel: MixtureKernel
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Row-scaled pmf matrix exp(logA - rowmax), and rowmax; rows with no
-    support raise."""
-    logA = log_pmf(kernel, values[:, None].astype(float), grid.atoms[None, :])
-    logA = np.atleast_2d(logA)
-    rowmax = logA.max(axis=1)
+    """Row-scaled pmf matrix B = exp(log q - rowmax), and rowmax = max_j log q.
+
+    The log pmf is linear in the count x: log q(x, r_j) = x a_j + b_j + c(x).
+    Poisson: a = log(n r), b = -n r, c = -log x!.  Binomial: a = log r -
+    log(1 - r), b = n log(1 - r), c = log C(n, x); above r = 1/2 it takes the
+    mirror q(x; r) = q(n - x; 1 - r), count n - x, so that the offset b stays
+    below n log 2 in size and x a + b cancels no more digits than ``log_pmf``.
+    So the matrix takes m logarithms, not d m, and c(x), constant along a
+    row, goes into rowmax alone.  Boundary cells follow ``log_pmf``: at r = 0
+    only x = 0 has mass and at a binomial r = 1 only x = n, both through
+    0 log 0 = 0.  A row with no support raises FitError.
+    """
+    x = values.astype(float)
+    r = grid.atoms
+    logB = np.empty((x.size, r.size))
+    with np.errstate(divide="ignore"):
+        if kernel.family == "poisson":
+            lam = kernel.n * r
+            _linear_logs(logB, x, np.log(lam), -lam)
+            c = -gammaln(x + 1.0)
+        else:
+            if np.any(x > kernel.n):
+                raise DomainError("binomial count exceeds the number of trials")
+            n = float(kernel.n)
+            half = np.searchsorted(r, 0.5, side="right")
+            lo, hi = r[:half], r[half:]
+            _linear_logs(logB[:, :half], x, np.log(lo) - np.log1p(-lo), n * np.log1p(-lo))
+            _linear_logs(logB[:, half:], n - x, np.log1p(-hi) - np.log(hi), n * np.log(hi))
+            c = gammaln(n + 1.0) - gammaln(x + 1.0) - gammaln(n - x + 1.0)
+    rowmax = logB.max(axis=1)
     if not np.all(np.isfinite(rowmax)):
         bad = values[~np.isfinite(rowmax)]
         raise FitError(f"count {bad[0]} has zero probability under every grid atom")
-    return np.exp(logA - rowmax[:, None]), rowmax
+    logB -= rowmax[:, None]
+    return np.exp(logB, out=logB), rowmax + c
 
 
 def _check_tol(tol: float) -> None:
@@ -251,24 +291,21 @@ def _check_tol(tol: float) -> None:
         raise DomainError(f"tol must be positive and finite, got {tol!r}")
 
 
-def _fit_rows(
-    values: np.ndarray,
-    mult: np.ndarray,
-    grid: Grid,
-    kernel: MixtureKernel,
-    tol: float,
+def _solve_rows(
+    B: np.ndarray, rowmax: np.ndarray, mult: np.ndarray, grid: Grid, tol: float
 ) -> FitResult:
+    """Fit on rows from ``_prepare_rows``; rows of multiplicity 0 are dropped."""
     _check_tol(tol)
     live = mult > 0
-    values_live, mult_live = values[live], mult[live]
-    if values_live.size == 0:
+    if not live.all():
+        B, rowmax, mult = B[live], rowmax[live], mult[live]
+    if mult.size == 0:
         raise FitError("no counts to fit")
-    B, rowmax = _prepare_rows(values_live, grid, kernel)
-    w, f, gap, iterations = _solve_weights(B, mult_live, tol)
+    w, f, gap, iterations = _solve_weights(B, mult, tol)
     keep = w > 0
     return FitResult(
         mixing=MixingDistribution(grid.atoms[keep], w[keep]),
-        log_likelihood=float(mult_live @ (np.log(f) + rowmax)),
+        log_likelihood=float(mult @ (np.log(f) + rowmax)),
         optimality_gap=gap,
         iterations=iterations,
         converged=gap <= tol,
@@ -296,7 +333,7 @@ def fit_npmle(
     if grid is None:
         grid = build_grid(counts)
     values, mult = counts.unique_with_multiplicity()
-    return _fit_rows(values, mult, grid, kernel, tol)
+    return _solve_rows(*_prepare_rows(values, grid, kernel), mult, grid, tol)
 
 
 def certificate(
@@ -355,6 +392,29 @@ def _binary_entropy(p: float) -> float:
     return -(p * math.log(p) + (1.0 - p) * math.log(1.0 - p))
 
 
+def _padded_rows(
+    counts: CountData, grid: Grid, kernel: MixtureKernel
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Prepared rows for [0] + the distinct counts, and the counts'
+    multiplicities: every k' shares them, and only the zero row's multiplicity
+    k' - k changes."""
+    values, mult = counts.unique_with_multiplicity()
+    B, rowmax = _prepare_rows(np.concatenate(([0], values)), grid, kernel)
+    return B, rowmax, mult
+
+
+def _solve_padded(
+    rows: tuple[np.ndarray, np.ndarray, np.ndarray],
+    k_prime: float,
+    k: int,
+    grid: Grid,
+    tol: float,
+) -> FitResult:
+    """Fit with k' - k fractional zero counts appended to the multiset."""
+    B, rowmax, mult = rows
+    return _solve_rows(B, rowmax, np.concatenate(([k_prime - k], mult)), grid, tol)
+
+
 def _fit_padded(
     counts: CountData,
     k_prime: float,
@@ -362,11 +422,8 @@ def _fit_padded(
     kernel: MixtureKernel,
     tol: float,
 ) -> FitResult:
-    """Fit with k' - k fractional zero counts appended to the multiset."""
-    values, mult = counts.unique_with_multiplicity()
-    values = np.concatenate(([0], values))
-    mult = np.concatenate(([k_prime - counts.k], mult))
-    return _fit_rows(values, mult, grid, kernel, tol)
+    """Padded fit on rows built for this k' alone."""
+    return _solve_padded(_padded_rows(counts, grid, kernel), k_prime, counts.k, grid, tol)
 
 
 def _penalized_objective(
@@ -413,12 +470,13 @@ def fit_penalized(
     if kernel is None:
         kernel = MixtureKernel.poisson(counts.n)
     grid = build_grid(counts)
+    rows = _padded_rows(counts, grid, kernel)
 
     profile: list[tuple[float, float]] = []
     fits: dict[float, FitResult] = {}
 
     def evaluate(kp: float) -> FitResult:
-        fit = _fit_padded(counts, kp, grid, kernel, tol)
+        fit = _solve_padded(rows, kp, counts.k, grid, tol)
         fits[kp] = fit
         profile.append((kp, _penalized_objective(counts, fit, kp, c0, c1)))
         return fit
@@ -469,17 +527,18 @@ def scaled_kl_profile(
     """
     if counts.counts.size == 0 or counts.counts.min() < 1:
         raise DomainError("profile requires strictly positive counts")
-    kernel = MixtureKernel.poisson(counts.n)
-    grid = build_grid(counts)
-    _, mult = counts.unique_with_multiplicity()
-    out: list[tuple[float, float]] = []
-    for kp in k_prime_list:
-        kp = float(kp)
+    k_primes = [float(kp) for kp in k_prime_list]
+    for kp in k_primes:
         if not math.isfinite(kp):
             raise DomainError(f"k' must be finite, got {kp!r}")
         if kp < counts.k:
             raise DomainError("k' must be at least the number of positive counts")
-        fit = _fit_padded(counts, kp, grid, kernel, tol)
+    grid = build_grid(counts)
+    rows = _padded_rows(counts, grid, MixtureKernel.poisson(counts.n))
+    _, mult = counts.unique_with_multiplicity()
+    out: list[tuple[float, float]] = []
+    for kp in k_primes:
+        fit = _solve_padded(rows, kp, counts.k, grid, tol)
         pad_mult = np.append(mult, kp - counts.k)
         live = pad_mult[pad_mult > 0]
         out.append((kp, float(live @ np.log(live / kp)) - fit.log_likelihood))

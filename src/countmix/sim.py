@@ -333,6 +333,24 @@ def _read(doc, key: str, kind, default=_REQUIRED):
     return doc[key]
 
 
+# Keys that only some kinds read, with those kinds: any other kind refuses them.
+_ONLY_FOR = {
+    "s": ("zipf",),
+    "probs": ("custom",),
+    "alpha": ("power_sum", "renyi"),
+    "min_mass": ("support_size",),
+    "horizon": ("unseen",),
+}
+
+
+def _refuse_inapplicable(doc: dict, kind: str) -> None:
+    """A key of ``_ONLY_FOR`` that ``kind`` does not read is a DomainError
+    naming it; a null value counts as absent, as in ``_read``."""
+    for key, kinds in _ONLY_FOR.items():
+        if doc.get(key) is not None and kind not in kinds:
+            raise DomainError(f"config: {key!r} does not apply to kind {kind!r}")
+
+
 def _refuse_unread(doc: dict, level: str) -> None:
     """A key outside ``_KEYS[level]`` is a DomainError naming it: nothing reads it."""
     for key in doc:
@@ -342,18 +360,23 @@ def _refuse_unread(doc: dict, level: str) -> None:
 
 
 def config_from_json(text: str) -> ExperimentConfig:
-    """Parse an experiment description from its JSON form; see ``_KEYS``."""
+    """Parse an experiment description from its JSON form; see ``_KEYS`` and
+    ``_ONLY_FOR``."""
     doc = json.loads(text)
     dist_doc = _read(doc, "distribution", dict)
     _refuse_unread(doc, "top")
     _refuse_unread(dist_doc, "distribution")
     probs = _read(dist_doc, "probs", list, None)
+    k = _read(dist_doc, "k", int, len(probs or ()))
     dist = make_distribution(
         _read(dist_doc, "kind", str),
-        _read(dist_doc, "k", int, len(probs or ())),
+        k,
         s=float(_read(dist_doc, "s", _NUMBER, 1.0)),
         probs=probs,
     )
+    _refuse_inapplicable(dist_doc, dist.kind)
+    if dist.k != k:
+        raise DomainError(f"config: 'k' is {k} but 'probs' holds {dist.k} values")
     spec_doc = _read(doc, "functional", (str, dict), "entropy")
     if isinstance(spec_doc, str):
         spec_doc = {"kind": spec_doc}
@@ -362,6 +385,7 @@ def config_from_json(text: str) -> ExperimentConfig:
         _read(spec_doc, "kind", str),
         **{name: _read(spec_doc, name, _NUMBER, None) for name in ("alpha", "min_mass", "horizon")},
     )
+    _refuse_inapplicable(spec_doc, spec.kind)
     return ExperimentConfig(
         distribution=dist,
         sampling=_read(doc, "sampling", str),

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from countmix import (
     CountData,
@@ -20,6 +22,7 @@ from countmix.base import Grid
 from countmix.kernels import log_pmf, mixture_log_density
 from countmix.npmle import (
     FitResult,
+    _prepare_rows,
     build_grid,
     certificate,
     fit_localized,
@@ -92,6 +95,48 @@ def test_a_stale_positional_grid_size_is_a_type_error():
     ):
         with pytest.raises(TypeError):
             call()
+
+
+# ------------------------------------------------------------- _prepare_rows
+
+
+def assert_rows_match_log_pmf(values, grid, kernel):
+    """The per-atom-log builder against the reference pmf, cell by cell."""
+    logq = np.atleast_2d(log_pmf(kernel, values[:, None].astype(float), grid.atoms[None, :]))
+    rowmax = logq.max(axis=1)
+    if not np.all(np.isfinite(rowmax)):
+        with pytest.raises(FitError, match="zero probability under every grid atom"):
+            _prepare_rows(values, grid, kernel)
+        return
+    B, got_rowmax = _prepare_rows(values, grid, kernel)
+    np.testing.assert_allclose(B, np.exp(logq - rowmax[:, None]), rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(got_rowmax, rowmax, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("family", ["poisson", "binomial"])
+def test_prepared_rows_match_log_pmf_at_the_boundaries(family):
+    # counts 0 and n against atoms 0 and 1: the cells that take 0 log 0 = 0,
+    # and the columns where only one count has mass (on the binomial grids
+    # {0, 1} and {1}, some rows have no support and must raise)
+    kernel = getattr(MixtureKernel, family)(40)
+    for values in ([0, 1, 7, 20, 39, 40], [0, 40], [40]):
+        for atoms in ([0.0, 1e-3, 0.25, 0.5, 0.75, 1.0 - 1e-9, 1.0], [0.0, 1.0], [0.6, 1.0],
+                      [1.0]):
+            assert_rows_match_log_pmf(np.array(values), Grid(np.array(atoms)), kernel)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    family=st.sampled_from(["poisson", "binomial"]),
+    n=st.integers(min_value=1, max_value=200),
+    counts=st.lists(st.integers(min_value=0, max_value=600), min_size=1, max_size=20),
+    atoms=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=30),
+    ends=st.sampled_from([(), (0.0,), (1.0,), (0.0, 1.0)]),
+)
+def test_prepared_rows_match_log_pmf_on_random_rows(family, n, counts, atoms, ends):
+    values = np.unique(counts if family == "poisson" else np.minimum(counts, n))
+    grid = Grid(np.unique(np.concatenate([atoms, ends])))
+    assert_rows_match_log_pmf(values, grid, MixtureKernel(family, n))
 
 
 # ----------------------------------------------------------------- fit_npmle

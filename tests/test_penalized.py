@@ -13,6 +13,7 @@ from countmix import (
     scaled_kl_profile,
 )
 from countmix.kernels import mixture_log_density
+from countmix.npmle import DEFAULT_REG, _fit_padded, _penalized_objective, build_grid
 
 
 def rng(stream):
@@ -31,7 +32,7 @@ def test_all_large_counts_select_k():
     assert result.k_hat == pytest.approx(3.0, rel=1e-9)
 
 
-@pytest.mark.parametrize(
+SEARCH_DRAWS = pytest.mark.parametrize(
     "family, k_star, n, philox_key",
     [
         ("uniform", 200, 1200, (313, 1)),
@@ -45,10 +46,17 @@ def test_all_large_counts_select_k():
     ids=["uniform-200", "zipf-1e4-key1", "zipf-3e3-key2", "log_series-5e3-key3",
          "log_series-1e4-key0"],
 )
-def test_first_order_condition_at_selected_support(family, k_star, n, philox_key):
+
+
+def positive_draw(family, k_star, n, philox_key):
     gen = np.random.Generator(np.random.Philox(key=np.array(philox_key, dtype=np.uint64)))
     counts = sample(make_distribution(family, k_star), "multinomial", n, gen)
-    positive = CountData(counts.counts[counts.counts > 0], n=counts.n)
+    return CountData(counts.counts[counts.counts > 0], n=counts.n)
+
+
+@SEARCH_DRAWS
+def test_first_order_condition_at_selected_support(family, k_star, n, philox_key):
+    positive = positive_draw(family, k_star, n, philox_key)
     result = fit_penalized(positive)
     assert len(result.profile) <= 20
     assert result.k_hat >= positive.k
@@ -57,6 +65,29 @@ def test_first_order_condition_at_selected_support(family, k_star, n, philox_key
             mixture_log_density(MixtureKernel.poisson(positive.n), result.mixing, 0)
         )
         assert abs(f0 - (result.k_hat - positive.k) / result.k_hat) <= 1e-4
+
+
+@SEARCH_DRAWS
+def test_shared_rows_match_cold_fits(family, k_star, n, philox_key):
+    # the search and the profile build the padded pmf matrix once; a fit that
+    # builds its own at each k' must give the same figures
+    positive = positive_draw(family, k_star, n, philox_key)
+    grid = build_grid(positive)
+    kernel = MixtureKernel.poisson(positive.n)
+    result = fit_penalized(positive)
+    for kp, objective in result.profile:
+        cold = _fit_padded(positive, kp, grid, kernel, 1e-6)
+        assert objective == pytest.approx(
+            _penalized_objective(positive, cold, kp, *DEFAULT_REG), rel=1e-12, abs=0.0
+        )
+    _, mult = positive.unique_with_multiplicity()
+    k_primes = [kp for kp, _ in result.profile[:5]]
+    for kp, kl in scaled_kl_profile(positive, k_primes):
+        cold = _fit_padded(positive, kp, grid, kernel, 1e-6)
+        cells = np.append(mult, kp - positive.k)
+        cells = cells[cells > 0]
+        expected = float(cells @ np.log(cells / kp)) - cold.log_likelihood
+        assert kl == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 def test_profile_records_evaluations():
@@ -104,8 +135,6 @@ def test_scaled_kl_nonnegative_and_matches_identity():
         assert kl >= -1e-9
     # identity check: k' KL = sum_i log pi_N(N_i) - (padded ll + k' H(k/k'))
     kp = kps[1]
-    from countmix.npmle import _fit_padded, build_grid
-
     fit = _fit_padded(positive, kp, build_grid(positive), kernel, 1e-6)
     p = k / kp
     entropy_term = -(p * math.log(p) + (1 - p) * math.log(1 - p)) * kp

@@ -232,6 +232,17 @@ VALID_CONFIG = {"distribution": {"kind": "uniform", "k": 5}, "sampling": "poisso
         (dict(VALID_CONFIG, distribution={"kind": "zipf", "k": 5, "S": 3.0}), "S"),
         (dict(VALID_CONFIG, functional={"kind": "power_sum", "alpha": 0.5, "Alpha": 0.7}),
          "Alpha"),
+        # a key that the chosen kind does not read is refused by name too
+        (dict(VALID_CONFIG, distribution={"kind": "uniform", "k": 5, "s": 3.0}), "s"),
+        (dict(VALID_CONFIG, distribution={"kind": "geometric", "k": 2, "probs": [0.5, 0.5]}),
+         "probs"),
+        (dict(VALID_CONFIG, distribution={"kind": "custom", "k": 7, "probs": [0.5, 0.25, 0.25]}),
+         "k"),
+        (dict(VALID_CONFIG, functional={"kind": "entropy", "alpha": 0.5}), "alpha"),
+        (dict(VALID_CONFIG, functional={"kind": "power_sum", "alpha": 0.5, "min_mass": 0.1}),
+         "min_mass"),
+        (dict(VALID_CONFIG, functional={"kind": "renyi", "alpha": 2.0, "horizon": 2.0}),
+         "horizon"),
     ],
 )
 def test_config_from_json_names_the_bad_key(doc, key):
