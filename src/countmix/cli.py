@@ -16,8 +16,8 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import io as cmio
-from .base import CountData, DomainError, FitError, MixtureKernel, ParseError
-from .evaluate import gof_test
+from .base import KERNEL_FAMILIES, CountData, DomainError, FitError, MixtureKernel, ParseError
+from .evaluate import GOF_MODELS, gof_test
 from .functionals import (
     METHODS,
     FunctionalSpec,
@@ -29,7 +29,6 @@ from .npmle import DEFAULT_KAPPA, DEFAULT_REG, DEFAULT_TOL
 from .npmle import fit_localized, fit_npmle, fit_penalized
 from .sim import config_from_json, report_to_csv, report_to_json, run_experiment
 
-USAGE_ERROR = 2
 COMPUTE_ERROR = 1
 
 
@@ -39,7 +38,7 @@ _FLAGS = {
     "--input": dict(required=True, help="count file (raw or fingerprint)"),
     "--n": dict(type=int, default=None, help="override the concentration"),
     "--k": dict(type=int, default=None, help="override the alphabet size"),
-    "--kernel": dict(choices=("poisson", "binomial"), default="poisson"),
+    "--kernel": dict(choices=KERNEL_FAMILIES, default="poisson"),
     "--tol": dict(type=float, default=DEFAULT_TOL, help="certificate tolerance"),
     "--output": dict(default=None, help="output path (default stdout)"),
     "--format": dict(choices=("json", "csv"), default="json"),
@@ -85,7 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gof", help="chi-squared goodness of fit", allow_abbrev=False)
     _add_flags(p, "--input --k --tol --output --format")
     p.add_argument("--T", type=int, required=True, help="count truncation level")
-    p.add_argument("--model", choices=("mixture", "p-model"), required=True)
+    p.add_argument("--model", choices=GOF_MODELS, required=True)
 
     p = sub.add_parser("unseen", help="discovery curve of new categories", allow_abbrev=False)
     _add_flags(p, "--input --n --k --kernel --tol --output --format")

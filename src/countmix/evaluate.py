@@ -1,8 +1,8 @@
 """Distances and statistical tests for fitted count mixtures.
 
 Wasserstein distances between mixing distributions are computed exactly via
-the quantile coupling; Hellinger and the chi-squared goodness-of-fit test
-operate on the induced count densities.
+the quantile coupling; the chi-squared goodness-of-fit test operates on the
+induced count density.
 """
 
 from __future__ import annotations
@@ -14,15 +14,13 @@ import numpy as np
 from scipy.special import chdtrc
 
 from .base import CountData, DomainError, MixingDistribution, MixtureKernel
-from .kernels import log_pmf, mixture_log_density, pmf_truncation_point
+from .kernels import log_pmf, mixture_log_density
 from .npmle import DEFAULT_TOL, fit_npmle
 
 __all__ = [
     "GofReport",
-    "HellingerReport",
     "chi2_sf",
     "gof_test",
-    "hellinger",
     "wasserstein",
 ]
 
@@ -39,15 +37,6 @@ class GofReport:
     expected: np.ndarray
     truncation: int
     degenerate: bool = False
-
-
-@dataclass(frozen=True)
-class HellingerReport:
-    """Hellinger distance between two count densities, with truncation slack."""
-
-    value: float
-    truncation: int
-    tail_bound: float
 
 
 def wasserstein(
@@ -71,30 +60,6 @@ def wasserstein(
     qq = q.atoms[np.minimum(np.searchsorted(cum_q, mids), len(q) - 1)]
     total = float(np.sum(lengths * np.abs(qp - qq) ** order))
     return total ** (1.0 / order)
-
-
-def hellinger(
-    kernel: MixtureKernel,
-    pi1: MixingDistribution,
-    pi2: MixingDistribution,
-) -> HellingerReport:
-    """Hellinger distance between the two induced count densities.
-
-    H^2 = 1 - sum_{j<=J} sqrt(f1(j) f2(j)) with the sum truncated at
-    J = ``pmf_truncation_point(kernel)``; ``tail_bound`` bounds the neglected
-    Bhattacharyya mass by sqrt(tail1 * tail2).
-    """
-    truncation = pmf_truncation_point(kernel)
-    js = np.arange(truncation + 1, dtype=float)
-    logf1 = np.atleast_1d(mixture_log_density(kernel, pi1, js))
-    logf2 = np.atleast_1d(mixture_log_density(kernel, pi2, js))
-    bc = float(np.sum(np.exp(0.5 * (logf1 + logf2))))
-    tail1 = max(0.0, 1.0 - float(np.sum(np.exp(logf1))))
-    tail2 = max(0.0, 1.0 - float(np.sum(np.exp(logf2))))
-    value = math.sqrt(max(1.0 - bc, 0.0))
-    return HellingerReport(
-        value=value, truncation=truncation, tail_bound=math.sqrt(tail1 * tail2)
-    )
 
 
 def chi2_sf(x: float, dof: int) -> float:

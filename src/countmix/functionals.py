@@ -254,10 +254,8 @@ def empirical_plugin(counts: CountData, spec: FunctionalSpec) -> EstimateReport:
     return _report(spec, additive, counts.k, "empirical")
 
 
-def miller_madow(counts: CountData, spec: Optional[FunctionalSpec] = None) -> EstimateReport:
+def miller_madow(counts: CountData) -> EstimateReport:
     """Classical entropy baseline: empirical entropy + (k_+ - 1) / (2 sum_i N_i)."""
-    if spec is not None and spec.kind != "entropy":
-        raise DomainError("the Miller-Madow correction applies to entropy only")
     total = int(counts.counts.sum())
     positive = counts.counts[counts.counts > 0]
     if total == 0:
@@ -322,7 +320,9 @@ def estimate(
     if method == "empirical":
         return empirical_plugin(counts, spec)
     if method == "miller-madow":
-        return miller_madow(counts, spec)
+        if spec.kind != "entropy":
+            raise DomainError("the Miller-Madow correction applies to entropy only")
+        return miller_madow(counts)
     if spec.kind != "unseen":
         raise DomainError("the Good-Turing baseline estimates the unseen functional")
     return good_turing_unseen(counts, spec.horizon)

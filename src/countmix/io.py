@@ -29,11 +29,8 @@ from .functionals import EstimateReport
 from .npmle import FitResult, PenalizedFitResult
 
 __all__ = [
-    "FIT_SCHEMA",
-    "REPORT_SCHEMAS",
     "fit_to_dict",
     "read_counts",
-    "write_counts",
     "write_fit",
     "write_report",
 ]
@@ -182,83 +179,8 @@ def read_counts(source: Union[str, Path, TextIO]) -> CountData:
     return CountData(counts, n=n, k=k, tail=tail)
 
 
-def write_counts(data: CountData, fmt: str = "raw") -> str:
-    """Serialize CountData so that reading the output reproduces it."""
-    if fmt not in ("raw", "fingerprint"):
-        raise ParseError(f"unknown format {fmt!r}")
-    lines = [f"#format={fmt}", f"#n={data.n}", f"#k={data.k}"]
-    if data.tail:
-        lines.append(f"#tail={data.tail}")
-    if fmt == "raw":
-        lines.extend(str(int(c)) for c in data.counts)
-    else:
-        values, counts = np.unique(data.counts, return_counts=True)
-        lines.extend(f"{int(v)},{int(c)}" for v, c in zip(values, counts))
-    return "\n".join(lines) + "\n"
-
-
-FIT_SCHEMA = {
-    "type": "object",
-    "required": [
-        "v",
-        "atoms",
-        "weights",
-        "log_likelihood",
-        "optimality_gap",
-        "iterations",
-        "converged",
-    ],
-    "properties": {
-        "v": {"const": 1},
-        "atoms": {"type": "array", "items": {"type": "number"}},
-        "weights": {"type": "array", "items": {"type": "number"}},
-        "log_likelihood": {"type": "number"},
-        "optimality_gap": {"type": "number", "minimum": 0},
-        "iterations": {"type": "integer", "minimum": 0},
-        "converged": {"type": "boolean"},
-    },
-}
-
-REPORT_SCHEMAS = {
-    "estimate": {
-        "type": "object",
-        "required": ["v", "type", "value", "method"],
-        "properties": {
-            "v": {"const": 1},
-            "type": {"const": "estimate"},
-            "value": {"type": "number"},
-            "method": {"type": "string"},
-            "converged": {"type": ["boolean", "null"]},
-            "optimality_gap": {"type": ["number", "null"], "minimum": 0},
-        },
-    },
-    "gof": {
-        "type": "object",
-        "required": ["v", "type", "statistic", "dof", "p_value", "expected", "truncation"],
-        "properties": {
-            "v": {"const": 1},
-            "type": {"const": "gof"},
-            "dof": {"type": "integer"},
-            "p_value": {"type": "number", "minimum": 0, "maximum": 1},
-            "expected": {"type": "array", "items": {"type": "number"}},
-            "truncation": {"type": "integer"},
-        },
-    },
-    "penalized": {
-        "type": "object",
-        "required": ["v", "type", "k_hat", "atoms", "weights", "penalized_objective", "profile"],
-        "properties": {
-            "v": {"const": 1},
-            "type": {"const": "penalized"},
-            "k_hat": {"type": "number"},
-            "profile": {"type": "array"},
-        },
-    },
-}
-
-
 def fit_to_dict(fit: FitResult) -> dict:
-    """The JSON object of a fit, as ``FIT_SCHEMA`` describes it."""
+    """The JSON object of a fit: versioned, with its certificate fields."""
     return {
         "v": 1,
         "atoms": fit.mixing.atoms.tolist(),

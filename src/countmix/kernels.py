@@ -8,8 +8,6 @@ rather than producing NaN.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 from scipy.special import gammaln, logsumexp, xlog1py, xlogy
 
@@ -18,7 +16,6 @@ from .base import DomainError, MixingDistribution, MixtureKernel
 __all__ = [
     "log_pmf",
     "mixture_log_density",
-    "pmf_truncation_point",
 ]
 
 
@@ -64,14 +61,3 @@ def mixture_log_density(kernel: MixtureKernel, mixing: MixingDistribution, x):
         return float(out)
     return np.asarray(out)
 
-
-def pmf_truncation_point(kernel: MixtureKernel) -> int:
-    """Count value beyond which every component's tail mass is below ~1e-12.
-
-    Poisson tail bound at the largest rate r = 1: mean + 20 standard
-    deviations + 50.  The binomial has finite support, so its own n is always
-    enough.
-    """
-    if kernel.family == "binomial":
-        return kernel.n
-    return int(math.ceil(kernel.n + 20.0 * math.sqrt(kernel.n) + 50.0))

@@ -392,6 +392,18 @@ def _binary_entropy(p: float) -> float:
     return -(p * math.log(p) + (1.0 - p) * math.log(1.0 - p))
 
 
+def _check_positive(counts: CountData, what: str) -> None:
+    """The padded fits take the observed non-zero counts alone: a zero count,
+    listed or implicit in k, is padding, which they choose themselves."""
+    if counts.counts.size == 0 or counts.counts.min() < 1:
+        raise DomainError(f"{what} requires strictly positive counts")
+    if counts.implicit_zeros:
+        raise DomainError(
+            f"{what} got {counts.implicit_zeros} implicit zero counts (k > number of counts);"
+            " zero padding is selected by the fit, so supply only positive counts"
+        )
+
+
 def _padded_rows(
     counts: CountData, grid: Grid, kernel: MixtureKernel
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -413,17 +425,6 @@ def _solve_padded(
     """Fit with k' - k fractional zero counts appended to the multiset."""
     B, rowmax, mult = rows
     return _solve_rows(B, rowmax, np.concatenate(([k_prime - k], mult)), grid, tol)
-
-
-def _fit_padded(
-    counts: CountData,
-    k_prime: float,
-    grid: Grid,
-    kernel: MixtureKernel,
-    tol: float,
-) -> FitResult:
-    """Padded fit on rows built for this k' alone."""
-    return _solve_padded(_padded_rows(counts, grid, kernel), k_prime, counts.k, grid, tol)
 
 
 def _penalized_objective(
@@ -457,10 +458,7 @@ def fit_penalized(
     first positive atom is the mass floor that makes the support size
     identifiable, so a finer grid moves k_hat rather than sharpening it.
     """
-    if counts.counts.size == 0 or counts.counts.min() < 1:
-        raise DomainError("penalized fit requires strictly positive counts")
-    if counts.implicit_zeros:
-        raise DomainError("zero padding is selected by the fit; supply only positive counts")
+    _check_positive(counts, "penalized fit")
     c0, c1 = reg
     for name, value in (("c0", c0), ("c1", c1)):
         if not math.isfinite(value):
@@ -525,8 +523,7 @@ def scaled_kl_profile(
     in k' up to solver tolerance.  The padded fits use the Poisson kernel at
     ``counts.n`` and the grid ``fit_penalized`` searches on.
     """
-    if counts.counts.size == 0 or counts.counts.min() < 1:
-        raise DomainError("profile requires strictly positive counts")
+    _check_positive(counts, "profile")
     k_primes = [float(kp) for kp in k_prime_list]
     for kp in k_primes:
         if not math.isfinite(kp):

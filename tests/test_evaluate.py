@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from countmix import CountData, DomainError, MixingDistribution, MixtureKernel, gof_test
+from countmix import CountData, DomainError, MixingDistribution, gof_test
 from countmix.base import Grid
-from countmix.evaluate import chi2_sf, hellinger, wasserstein
+from countmix.evaluate import chi2_sf, wasserstein
 from countmix.npmle import FitResult
 
 
@@ -92,42 +92,6 @@ def test_wasserstein_rejects_order_below_one():
     p = random_mixing(rng(4))
     with pytest.raises(DomainError):
         wasserstein(p, p, 0.5)
-
-
-# ---------------------------------------------------------------- hellinger
-
-
-def test_hellinger_identical_mixings_is_zero():
-    kern = MixtureKernel.poisson(30)
-    pi = MixingDistribution(np.array([0.1, 0.5]), np.array([0.4, 0.6]))
-    report = hellinger(kern, pi, pi)
-    assert report.value <= math.sqrt(report.tail_bound) + 1e-12
-
-
-def test_hellinger_disjoint_supports_approaches_one():
-    kern = MixtureKernel.poisson(100)
-    report = hellinger(
-        kern, MixingDistribution.point_mass(0.0), MixingDistribution.point_mass(1.0)
-    )
-    assert report.value == pytest.approx(1.0, abs=1e-6)
-
-
-def test_hellinger_matches_high_truncation_oracle():
-    kern = MixtureKernel.poisson(40)
-    pi1 = MixingDistribution(np.array([0.05, 0.3]), np.array([0.5, 0.5]))
-    pi2 = MixingDistribution.point_mass(0.2)
-    report = hellinger(kern, pi1, pi2)
-    # direct summation far past the default truncation point
-    js = np.arange(10_001)
-    def density(pi):
-        out = np.zeros_like(js, dtype=float)
-        for a, w in zip(pi.atoms, pi.weights):
-            lam = 40 * a
-            out += w * np.exp(js * math.log(lam) - lam - [math.lgamma(j + 1) for j in js])
-        return out
-    bc = float(np.sqrt(density(pi1) * density(pi2)).sum())
-    assert report.value == pytest.approx(math.sqrt(max(1 - bc, 0.0)), abs=1e-9)
-    assert 0.0 <= report.value <= 1.0 + report.tail_bound
 
 
 # ------------------------------------------------------------------ chi2_sf

@@ -305,6 +305,12 @@ def test_estimate_routes_and_clamps():
         estimate(counts, FunctionalSpec.entropy(), "good-turing")
 
 
+def test_miller_madow_refuses_other_functionals():
+    counts = CountData([1, 2, 2, 5], n=10)
+    with pytest.raises(DomainError, match="entropy only"):
+        estimate(counts, FunctionalSpec.power_sum(0.5), "miller-madow")
+
+
 def test_support_size_estimate_uses_constrained_grid():
     dist = make_distribution("uniform", 50)
     counts = sample(dist, "multinomial", 2000, rng(10))

@@ -13,7 +13,13 @@ from countmix import (
     scaled_kl_profile,
 )
 from countmix.kernels import mixture_log_density
-from countmix.npmle import DEFAULT_REG, _fit_padded, _penalized_objective, build_grid
+from countmix.npmle import (
+    DEFAULT_REG,
+    _padded_rows,
+    _penalized_objective,
+    _solve_padded,
+    build_grid,
+)
 
 
 def rng(stream):
@@ -23,6 +29,13 @@ def rng(stream):
 def test_rejects_zero_counts():
     with pytest.raises(DomainError):
         fit_penalized(CountData([0, 3, 4], n=10))
+
+
+def test_profile_rejects_implicit_zeros():
+    # k = 5 over three listed counts: the two implicit zeros would enter the
+    # empirical term as a cell of their own, and k' KL came out at -2.28 at k' = 7
+    with pytest.raises(DomainError, match="implicit zero"):
+        scaled_kl_profile(CountData([1, 2, 3], n=9, k=5), [5.0, 7.0])
 
 
 def test_all_large_counts_select_k():
@@ -76,14 +89,14 @@ def test_shared_rows_match_cold_fits(family, k_star, n, philox_key):
     kernel = MixtureKernel.poisson(positive.n)
     result = fit_penalized(positive)
     for kp, objective in result.profile:
-        cold = _fit_padded(positive, kp, grid, kernel, 1e-6)
+        cold = _solve_padded(_padded_rows(positive, grid, kernel), kp, positive.k, grid, 1e-6)
         assert objective == pytest.approx(
             _penalized_objective(positive, cold, kp, *DEFAULT_REG), rel=1e-12, abs=0.0
         )
     _, mult = positive.unique_with_multiplicity()
     k_primes = [kp for kp, _ in result.profile[:5]]
     for kp, kl in scaled_kl_profile(positive, k_primes):
-        cold = _fit_padded(positive, kp, grid, kernel, 1e-6)
+        cold = _solve_padded(_padded_rows(positive, grid, kernel), kp, positive.k, grid, 1e-6)
         cells = np.append(mult, kp - positive.k)
         cells = cells[cells > 0]
         expected = float(cells @ np.log(cells / kp)) - cold.log_likelihood
@@ -135,7 +148,8 @@ def test_scaled_kl_nonnegative_and_matches_identity():
         assert kl >= -1e-9
     # identity check: k' KL = sum_i log pi_N(N_i) - (padded ll + k' H(k/k'))
     kp = kps[1]
-    fit = _fit_padded(positive, kp, build_grid(positive), kernel, 1e-6)
+    grid = build_grid(positive)
+    fit = _solve_padded(_padded_rows(positive, grid, kernel), kp, k, grid, 1e-6)
     p = k / kp
     entropy_term = -(p * math.log(p) + (1 - p) * math.log(1 - p)) * kp
     lhs = dict(profile)[kp]
