@@ -216,6 +216,7 @@ def _cmd_unseen(args) -> str:
     horizons = [float(part) for part in args.t_grid.split(",") if part.strip()]
     if not horizons:
         raise DomainError("empty --t-grid")
+    fit = None
     if args.method == "plugin":
         fit = fit_npmle(counts, kernel=MixtureKernel(args.kernel, counts.n), tol=args.tol)
         curve = discovery_curve(fit.mixing, counts.k, counts.n, horizons)
@@ -224,7 +225,9 @@ def _cmd_unseen(args) -> str:
     if args.format == "json":
         return json.dumps(
             {"v": 1, "type": "discovery", "method": args.method,
-             "curve": [[t, v] for t, v in curve]},
+             "curve": [[t, v] for t, v in curve],
+             "converged": None if fit is None else fit.converged,
+             "optimality_gap": None if fit is None else fit.optimality_gap},
             indent=2,
         )
     return _csv_rows([["t", "estimate"]] + [[t, v] for t, v in curve])

@@ -47,8 +47,8 @@ def wasserstein(
     Integrates |Q_p(u) - Q_q(u)|^order over the merged breakpoints of the two
     quantile functions, which is the optimal coupling on the line.
     """
-    if order < 1.0:
-        raise DomainError("Wasserstein order must be >= 1")
+    if not 1.0 <= order < math.inf:
+        raise DomainError(f"Wasserstein order must be finite and >= 1, got {order!r}")
     cum_p = np.cumsum(p.weights)
     cum_q = np.cumsum(q.weights)
     edges = np.unique(np.clip(np.concatenate([[0.0], cum_p, cum_q]), 0.0, 1.0))

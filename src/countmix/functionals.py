@@ -46,6 +46,14 @@ METHODS = ("plugin", "localized", "empirical", "miller-madow", "good-turing")
 POWER_SUM_LOG_GUARD = 1e-300
 
 
+# Parameters that only some kinds read, with those kinds: any other kind refuses them.
+_ONLY_FOR = {
+    "alpha": ("power_sum", "renyi"),
+    "min_mass": ("support_size",),
+    "horizon": ("unseen",),
+}
+
+
 @dataclass(frozen=True)
 class FunctionalSpec:
     """Which symmetric functional to estimate, with its parameters.
@@ -65,6 +73,9 @@ class FunctionalSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise DomainError(f"unknown functional kind {self.kind!r}")
+        for name, kinds in _ONLY_FOR.items():
+            if getattr(self, name) is not None and self.kind not in kinds:
+                raise DomainError(f"{name!r} does not apply to functional kind {self.kind!r}")
         if self.kind == "power_sum":
             if self.alpha is None or not 0.0 < self.alpha < 1.0:
                 raise DomainError("power sum requires alpha in (0, 1)")

@@ -233,6 +233,8 @@ def write_report(report) -> str:
             "weights": report.mixing.weights.tolist(),
             "penalized_objective": report.penalized_objective,
             "profile": [[kp, obj] for kp, obj in report.profile],
+            "converged": report.fit.converged,
+            "optimality_gap": report.fit.optimality_gap,
         }
     else:
         raise TypeError(f"cannot serialize report of type {type(report).__name__}")

@@ -386,12 +386,6 @@ def fit_localized(
     return LocalizedFit(fit, n_small, large_counts, threshold)
 
 
-def _binary_entropy(p: float) -> float:
-    if p <= 0.0 or p >= 1.0:
-        return 0.0
-    return -(p * math.log(p) + (1.0 - p) * math.log(1.0 - p))
-
-
 def _check_positive(counts: CountData, what: str) -> None:
     """The padded fits take the observed non-zero counts alone: a zero count,
     listed or implicit in k, is padding, which they choose themselves."""
@@ -404,34 +398,22 @@ def _check_positive(counts: CountData, what: str) -> None:
         )
 
 
-def _padded_rows(
-    counts: CountData, grid: Grid, kernel: MixtureKernel
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Prepared rows for [0] + the distinct counts, and the counts'
-    multiplicities: every k' shares them, and only the zero row's multiplicity
-    k' - k changes."""
+def _padded_fits(counts: CountData, kernel: MixtureKernel, tol: float):
+    """k' -> (padded multiplicities, fit to ``tol``) on ``build_grid(counts)``.
+
+    The padded multiset is [0] + the distinct positive counts, the zero row
+    taking multiplicity k' - k.  Its rows are prepared once per call: every k'
+    shares them, and only the zero row's multiplicity changes.
+    """
+    grid = build_grid(counts)
     values, mult = counts.unique_with_multiplicity()
     B, rowmax = _prepare_rows(np.concatenate(([0], values)), grid, kernel)
-    return B, rowmax, mult
 
+    def solve(k_prime: float) -> tuple[np.ndarray, FitResult]:
+        padded = np.concatenate(([k_prime - counts.k], mult))
+        return padded, _solve_rows(B, rowmax, padded, grid, tol)
 
-def _solve_padded(
-    rows: tuple[np.ndarray, np.ndarray, np.ndarray],
-    k_prime: float,
-    k: int,
-    grid: Grid,
-    tol: float,
-) -> FitResult:
-    """Fit with k' - k fractional zero counts appended to the multiset."""
-    B, rowmax, mult = rows
-    return _solve_rows(B, rowmax, np.concatenate(([k_prime - k], mult)), grid, tol)
-
-
-def _penalized_objective(
-    counts: CountData, fit: FitResult, k_prime: float, c0: float, c1: float
-) -> float:
-    k = counts.k
-    return fit.log_likelihood + k_prime * _binary_entropy(k / k_prime) + c0 / k_prime**c1
+    return solve
 
 
 def fit_penalized(
@@ -467,16 +449,15 @@ def fit_penalized(
     k_max = K_MAX_FACTOR * k
     if kernel is None:
         kernel = MixtureKernel.poisson(counts.n)
-    grid = build_grid(counts)
-    rows = _padded_rows(counts, grid, kernel)
-
-    profile: list[tuple[float, float]] = []
-    fits: dict[float, FitResult] = {}
+    solve = _padded_fits(counts, kernel, tol)
+    # (k', objective, fit) for every k' the search evaluates
+    records: list[tuple[float, float, FitResult]] = []
 
     def evaluate(kp: float) -> FitResult:
-        fit = _solve_padded(rows, kp, counts.k, grid, tol)
-        fits[kp] = fit
-        profile.append((kp, _penalized_objective(counts, fit, kp, c0, c1)))
+        _, fit = solve(kp)
+        p = k / kp  # k' H(k/k'): H is zero at p = 1
+        entropy = 0.0 if p >= 1.0 else -(p * math.log(p) + (1.0 - p) * math.log(1.0 - p))
+        records.append((kp, fit.log_likelihood + kp * entropy + c0 / kp**c1, fit))
         return fit
 
     def slope(kp: float) -> float:
@@ -498,15 +479,15 @@ def fit_penalized(
         else:
             hi = mid
 
-    best = max(obj for _, obj in profile)
-    k_hat = min(kp for kp, obj in profile if obj >= best - 1e-8)
-    final = fits[k_hat]
-    objective = next(obj for kp, obj in profile if kp == k_hat)
+    best = max(obj for _, obj, _ in records)
+    k_hat, objective, final = min(
+        (r for r in records if r[1] >= best - 1e-8), key=lambda r: r[0]
+    )
     return PenalizedFitResult(
         k_hat=k_hat,
         mixing=final.mixing,
         penalized_objective=objective,
-        profile=profile,
+        profile=[(kp, obj) for kp, obj, _ in records],
         fit=final,
     )
 
@@ -530,13 +511,10 @@ def scaled_kl_profile(
             raise DomainError(f"k' must be finite, got {kp!r}")
         if kp < counts.k:
             raise DomainError("k' must be at least the number of positive counts")
-    grid = build_grid(counts)
-    rows = _padded_rows(counts, grid, MixtureKernel.poisson(counts.n))
-    _, mult = counts.unique_with_multiplicity()
+    solve = _padded_fits(counts, MixtureKernel.poisson(counts.n), tol)
     out: list[tuple[float, float]] = []
     for kp in k_primes:
-        fit = _solve_padded(rows, kp, counts.k, grid, tol)
-        pad_mult = np.append(mult, kp - counts.k)
-        live = pad_mult[pad_mult > 0]
+        padded, fit = solve(kp)
+        live = padded[padded > 0]
         out.append((kp, float(live @ np.log(live / kp)) - fit.log_likelihood))
     return out

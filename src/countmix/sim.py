@@ -96,6 +96,8 @@ def make_distribution(
         p = np.asarray(probs, dtype=float)
         if p.size == 0:
             raise DomainError("custom distribution: 'probs' must not be empty")
+        if k != p.size:
+            raise DomainError(f"custom distribution: 'k' is {k} but 'probs' holds {p.size} values")
         return TrueDistribution("custom", p.size, p / p.sum())
     if k < 1:
         raise DomainError("k must be >= 1")
@@ -333,13 +335,11 @@ def _read(doc, key: str, kind, default=_REQUIRED):
     return doc[key]
 
 
-# Keys that only some kinds read, with those kinds: any other kind refuses them.
+# Distribution keys that only some kinds read, with those kinds: any other kind
+# refuses them.  FunctionalSpec refuses a parameter its kind does not read.
 _ONLY_FOR = {
     "s": ("zipf",),
     "probs": ("custom",),
-    "alpha": ("power_sum", "renyi"),
-    "min_mass": ("support_size",),
-    "horizon": ("unseen",),
 }
 
 
@@ -375,8 +375,6 @@ def config_from_json(text: str) -> ExperimentConfig:
         probs=probs,
     )
     _refuse_inapplicable(dist_doc, dist.kind)
-    if dist.k != k:
-        raise DomainError(f"config: 'k' is {k} but 'probs' holds {dist.k} values")
     spec_doc = _read(doc, "functional", (str, dict), "entropy")
     if isinstance(spec_doc, str):
         spec_doc = {"kind": spec_doc}
@@ -385,7 +383,6 @@ def config_from_json(text: str) -> ExperimentConfig:
         _read(spec_doc, "kind", str),
         **{name: _read(spec_doc, name, _NUMBER, None) for name in ("alpha", "min_mass", "horizon")},
     )
-    _refuse_inapplicable(spec_doc, spec.kind)
     return ExperimentConfig(
         distribution=dist,
         sampling=_read(doc, "sampling", str),

@@ -113,6 +113,29 @@ def test_penalized_profile_csv(capsys, tmp_path):
     assert doc["k_hat"] >= 15
 
 
+def test_penalized_and_unseen_report_fit_certificate(capsys, raw_file, tmp_path):
+    positive = tmp_path / "positive.txt"
+    positive.write_text("#format=raw\n#n=40\n1\n1\n1\n2\n2\n3\n5\n8\n")
+    code, out, _ = run(capsys, ["penalized", "--input", str(positive), "--tol", "1e-7"])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["converged"] is True
+    assert 0.0 <= doc["optimality_gap"] <= 1e-7
+    code, out, _ = run(
+        capsys, ["unseen", "--input", raw_file, "--t-grid", "1", "--tol", "1e-7"]
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["converged"] is True
+    assert 0.0 <= doc["optimality_gap"] <= 1e-7
+    code, out, _ = run(
+        capsys, ["unseen", "--input", raw_file, "--t-grid", "1", "--method", "good-turing"]
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["converged"] is None and doc["optimality_gap"] is None
+
+
 def test_gof_butterfly_mixture_accepts(capsys):
     import importlib.resources as res
 

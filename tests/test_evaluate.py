@@ -55,6 +55,14 @@ def test_w1_of_identical_measures_is_zero():
     assert wasserstein(pi, pi) == 0.0
 
 
+@pytest.mark.parametrize("order", [0.5, math.inf, math.nan])
+def test_wasserstein_refuses_order_that_is_not_finite_and_at_least_one(order):
+    # an infinite order read 1.0 for a measure against itself, and nan gave nan
+    pi = random_mixing(rng(1))
+    with pytest.raises(DomainError, match="order"):
+        wasserstein(pi, pi, order)
+
+
 def test_w1_split_mass_against_lp_oracle():
     p = MixingDistribution(np.array([0.0, 1.0]), np.array([0.5, 0.5]))
     q = MixingDistribution.point_mass(0.5)

@@ -55,6 +55,21 @@ def test_spec_validation():
 
 
 @pytest.mark.parametrize(
+    "kind,params,name",
+    [
+        ("entropy", {"alpha": 0.5}, "alpha"),
+        ("power_sum", {"alpha": 0.5, "horizon": 3.0}, "horizon"),
+        ("renyi", {"alpha": 2.0, "min_mass": 0.1}, "min_mass"),
+        ("support_size", {"horizon": 2.0}, "horizon"),
+        ("unseen", {"horizon": 2.0, "alpha": 0.5}, "alpha"),
+    ],
+)
+def test_spec_refuses_a_parameter_its_kind_does_not_read(kind, params, name):
+    with pytest.raises(DomainError, match=repr(name)):
+        FunctionalSpec(kind, **params)
+
+
+@pytest.mark.parametrize(
     "make,setting",
     [
         (lambda: FunctionalSpec.renyi(math.nan), "alpha"),

@@ -61,12 +61,15 @@ REPORT_SCHEMAS = {
     },
     "penalized": {
         "type": "object",
-        "required": ["v", "type", "k_hat", "atoms", "weights", "penalized_objective", "profile"],
+        "required": ["v", "type", "k_hat", "atoms", "weights", "penalized_objective", "profile",
+                     "converged", "optimality_gap"],
         "properties": {
             "v": {"const": 1},
             "type": {"const": "penalized"},
             "k_hat": {"type": "number"},
             "profile": {"type": "array"},
+            "converged": {"type": "boolean"},
+            "optimality_gap": {"type": "number", "minimum": 0},
         },
     },
 }

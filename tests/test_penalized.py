@@ -13,13 +13,7 @@ from countmix import (
     scaled_kl_profile,
 )
 from countmix.kernels import mixture_log_density
-from countmix.npmle import (
-    DEFAULT_REG,
-    _padded_rows,
-    _penalized_objective,
-    _solve_padded,
-    build_grid,
-)
+from countmix.npmle import DEFAULT_REG, _padded_fits
 
 
 def rng(stream):
@@ -80,23 +74,31 @@ def test_first_order_condition_at_selected_support(family, k_star, n, philox_key
         assert abs(f0 - (result.k_hat - positive.k) / result.k_hat) <= 1e-4
 
 
+def padded_objective(k, log_likelihood, k_prime, c0, c1):
+    """Padded log-likelihood + k' H(k/k') + c0 / k'^c1, H the binary entropy."""
+    p = k / k_prime
+    entropy = 0.0 if p >= 1.0 else -(p * math.log(p) + (1.0 - p) * math.log(1.0 - p))
+    return log_likelihood + k_prime * entropy + c0 / k_prime**c1
+
+
 @SEARCH_DRAWS
 def test_shared_rows_match_cold_fits(family, k_star, n, philox_key):
     # the search and the profile build the padded pmf matrix once; a fit that
     # builds its own at each k' must give the same figures
     positive = positive_draw(family, k_star, n, philox_key)
-    grid = build_grid(positive)
     kernel = MixtureKernel.poisson(positive.n)
     result = fit_penalized(positive)
     for kp, objective in result.profile:
-        cold = _solve_padded(_padded_rows(positive, grid, kernel), kp, positive.k, grid, 1e-6)
+        _, cold = _padded_fits(positive, kernel, 1e-6)(kp)
         assert objective == pytest.approx(
-            _penalized_objective(positive, cold, kp, *DEFAULT_REG), rel=1e-12, abs=0.0
+            padded_objective(positive.k, cold.log_likelihood, kp, *DEFAULT_REG),
+            rel=1e-12,
+            abs=0.0,
         )
     _, mult = positive.unique_with_multiplicity()
     k_primes = [kp for kp, _ in result.profile[:5]]
     for kp, kl in scaled_kl_profile(positive, k_primes):
-        cold = _solve_padded(_padded_rows(positive, grid, kernel), kp, positive.k, grid, 1e-6)
+        _, cold = _padded_fits(positive, kernel, 1e-6)(kp)
         cells = np.append(mult, kp - positive.k)
         cells = cells[cells > 0]
         expected = float(cells @ np.log(cells / kp)) - cold.log_likelihood
@@ -148,8 +150,7 @@ def test_scaled_kl_nonnegative_and_matches_identity():
         assert kl >= -1e-9
     # identity check: k' KL = sum_i log pi_N(N_i) - (padded ll + k' H(k/k'))
     kp = kps[1]
-    grid = build_grid(positive)
-    fit = _solve_padded(_padded_rows(positive, grid, kernel), kp, k, grid, 1e-6)
+    _, fit = _padded_fits(positive, kernel, 1e-6)(kp)
     p = k / kp
     entropy_term = -(p * math.log(p) + (1 - p) * math.log(1 - p)) * kp
     lhs = dict(profile)[kp]

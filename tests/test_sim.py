@@ -49,6 +49,12 @@ def test_a_distribution_that_is_not_finite_is_refused():
         make_distribution("custom", 0, probs=[])
 
 
+def test_custom_distribution_refuses_k_other_than_the_number_of_probs():
+    with pytest.raises(DomainError, match="'k'"):
+        make_distribution("custom", 99, probs=[1, 2, 3])
+    assert make_distribution("custom", 3, probs=[1, 2, 3]).k == 3
+
+
 def test_two_mixed_uniform_halves():
     dist = make_distribution("two_mixed_uniform", 10)
     assert np.allclose(dist.probs[:5], 2 / 50)
