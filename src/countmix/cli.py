@@ -25,8 +25,7 @@ from .functionals import (
     estimate,
     good_turing_unseen,
 )
-from .npmle import DEFAULT_KAPPA, DEFAULT_REG, DEFAULT_TOL
-from .npmle import fit_localized, fit_npmle, fit_penalized
+from .npmle import DEFAULT_TOL, fit_localized, fit_npmle, fit_penalized
 from .sim import config_from_json, report_to_csv, report_to_json, run_experiment
 
 COMPUTE_ERROR = 1
@@ -73,13 +72,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("localized", help="fit on the small-rate cells only", allow_abbrev=False)
     _add_flags(p, "--input --n --k --kernel --tol --output")
-    p.add_argument("--kappa", type=float, default=DEFAULT_KAPPA, help="threshold multiplier")
 
     p = sub.add_parser("penalized", help="joint support-size and mixing fit", allow_abbrev=False)
     _add_flags(p, "--input --n --kernel --tol --output --format")
-    c0, c1 = DEFAULT_REG
-    p.add_argument("--c0", type=float, default=c0, help="tie-break regularizer scale")
-    p.add_argument("--c1", type=float, default=c1, help="tie-break regularizer exponent")
 
     p = sub.add_parser("gof", help="chi-squared goodness of fit", allow_abbrev=False)
     _add_flags(p, "--input --k --tol --output --format")
@@ -113,19 +108,32 @@ def _load_counts(args) -> CountData:
     return data
 
 
+# --functional NAME[:PARAM]: the FunctionalSpec kind and the parameter PARAM sets
+_FUNCTIONALS = {
+    "entropy": ("entropy", None),
+    "power-sum": ("power_sum", "alpha"),
+    "renyi": ("renyi", "alpha"),
+    "support": ("support_size", "min_mass"),
+    "unseen": ("unseen", "horizon"),
+}
+
+
 def _parse_functional(text: str) -> FunctionalSpec:
-    name, _, param = text.partition(":")
-    if name == "entropy":
-        return FunctionalSpec.entropy()
-    if name == "power-sum":
-        return FunctionalSpec.power_sum(float(param))
-    if name == "renyi":
-        return FunctionalSpec.renyi(float(param))
-    if name == "support":
-        return FunctionalSpec.support_size(float(param) if param else None)
-    if name == "unseen":
-        return FunctionalSpec.unseen(float(param))
-    raise DomainError(f"unknown functional {text!r}")
+    name, colon, param = text.partition(":")
+    if name not in _FUNCTIONALS:
+        raise DomainError(f"unknown functional {text!r}")
+    kind, key = _FUNCTIONALS[name]
+    if key is None:
+        if colon:
+            raise DomainError(f"functional {name!r} takes no parameter, got {text!r}")
+        return FunctionalSpec(kind)
+    if kind == "support_size" and not param:  # min_mass defaults to 1/k
+        return FunctionalSpec(kind)
+    try:
+        value = float(param)
+    except ValueError:
+        raise DomainError(f"functional {name!r} needs a number for {key}, got {param!r}") from None
+    return FunctionalSpec(kind, **{key: value})
 
 
 def _emit(args, text: str) -> None:
@@ -169,12 +177,7 @@ def _cmd_estimate(args) -> str:
 
 def _cmd_localized(args) -> str:
     counts = _load_counts(args)
-    loc = fit_localized(
-        counts,
-        kernel=MixtureKernel(args.kernel, counts.n),
-        tol=args.tol,
-        kappa=args.kappa,
-    )
+    loc = fit_localized(counts, kernel=MixtureKernel(args.kernel, counts.n), tol=args.tol)
     doc = {
         "v": 1,
         "type": "localized",
@@ -188,12 +191,7 @@ def _cmd_localized(args) -> str:
 
 def _cmd_penalized(args) -> str:
     counts = _load_counts(args)
-    result = fit_penalized(
-        counts,
-        kernel=MixtureKernel(args.kernel, counts.n),
-        tol=args.tol,
-        reg=(args.c0, args.c1),
-    )
+    result = fit_penalized(counts, kernel=MixtureKernel(args.kernel, counts.n), tol=args.tol)
     if args.format == "csv":
         rows = [["k_prime", "objective"]] + [[kp, obj] for kp, obj in result.profile]
         return _csv_rows(rows)

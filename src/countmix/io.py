@@ -4,7 +4,8 @@ Count files are plain text with ``#key=value`` directives followed by data
 lines.  ``#format=raw`` files hold one nonnegative integer count per line;
 ``#format=fingerprint`` files hold ``j,phi_j`` pairs.  Counts and directive
 values must fit in int64, and so must the total count mass unless ``#n=`` is
-given.  Blank lines are ignored, and directives may also follow data lines.
+given.  Blank lines are ignored, and directives may also follow data lines,
+though a second ``#format`` must repeat the first.
 Optional directives: ``#n=`` (concentration; defaults to the total count
 mass), ``#k=`` (alphabet size; defaults to the number of cells), and ``#tail=``
 (cells binned into an unbounded top bucket, carried as metadata and excluded
@@ -112,6 +113,8 @@ def read_counts(source: Union[str, Path, TextIO]) -> CountData:
             if key == "format":
                 if value not in ("raw", "fingerprint"):
                     raise ParseError(f"unknown format {value!r}", lineno)
+                if fmt not in (None, value):
+                    raise ParseError(f"#format={value} follows #format={fmt}", lineno)
                 fmt = value
             else:
                 try:

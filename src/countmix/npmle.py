@@ -62,10 +62,11 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-6
-# Localized threshold multiplier and penalized tie-break (c0, c1); the CLI
-# flags take their defaults from these.
-DEFAULT_KAPPA = 3.6
-DEFAULT_REG = (10.0, 1.0)
+# The localized fit keeps the cells with rate <= KAPPA log(n)/n; the support-size
+# search breaks ties on a flat profile with C0 / k'^C1.  Both are fixed by the
+# estimators, not settings.
+KAPPA = 3.6
+C0, C1 = 10.0, 1.0
 # Safety bound on constrained-Newton steps per fit, not a setting: the most any
 # fit has been seen to take is 3768 (at tol = 1e-8).
 MAX_NEWTON_STEPS = 20_000
@@ -362,19 +363,16 @@ def fit_localized(
     kernel: Optional[MixtureKernel] = None,
     tol: float = DEFAULT_TOL,
     min_mass: Optional[float] = None,
-    kappa: float = DEFAULT_KAPPA,
 ) -> LocalizedFit:
-    """Fit restricted to cells whose empirical rate is below kappa log(n)/n.
+    """Fit restricted to cells whose empirical rate is at most KAPPA log(n)/n.
 
     The grid of the sub-fit is capped at the same threshold.
     """
-    if not 0.0 < kappa < math.inf:
-        raise DomainError(f"kappa must be positive and finite, got {kappa!r}")
     _check_tol(tol)
     n = counts.n
     if n < 2:
         raise DomainError("localization requires n >= 2")
-    threshold = kappa * math.log(n) / n
+    threshold = KAPPA * math.log(n) / n
     small_mask = (counts.counts / n) <= threshold
     n_small = int(small_mask.sum()) + counts.implicit_zeros
     large_counts = counts.counts[~small_mask]
@@ -420,19 +418,18 @@ def fit_penalized(
     counts: CountData,
     kernel: Optional[MixtureKernel] = None,
     tol: float = DEFAULT_TOL,
-    reg: tuple[float, float] = DEFAULT_REG,
 ) -> PenalizedFitResult:
     """Joint fit of the mixing distribution and a real support size k' >= k.
 
     Input must be the observed non-zero counts.  The objective adds to the
     padded log-likelihood the binary-entropy term k' H(k/k') and the
-    tie-breaking regularizer c0 / k'^c1, which prefers the smallest maximizer
-    on the flat part of the profile.  By the envelope theorem the profile's
-    slope in k' is log f(0) - log((k'-k)/k') - c0 c1 / k'^(c1+1), with f the
-    fit at k'.  It is +inf just above k and turns negative past the point
-    where the profile flattens; the search bisects on its sign in log k' over
-    [k, K_MAX_FACTOR * k] until k' is known to 0.1 %, a fixed number of fits,
-    and raises FitError when the slope is still positive at the ceiling.
+    tie-breaking regularizer C0 / k'^C1 (10 / k'), which prefers the smallest
+    maximizer on the flat part of the profile.  By the envelope theorem the
+    profile's slope in k' is log f(0) - log((k'-k)/k') - C0 C1 / k'^(C1+1),
+    with f the fit at k'.  It is +inf just above k and turns negative past the
+    point where the profile flattens; the search bisects on its sign in log k'
+    over [k, K_MAX_FACTOR * k] until k' is known to 0.1 %, a fixed number of
+    fits, and raises FitError when the slope is still positive at the ceiling.
     At a selected k_hat > k the fitted mixture satisfies
     f(0) ~= (k_hat - k)/k_hat.
 
@@ -441,10 +438,6 @@ def fit_penalized(
     identifiable, so a finer grid moves k_hat rather than sharpening it.
     """
     _check_positive(counts, "penalized fit")
-    c0, c1 = reg
-    for name, value in (("c0", c0), ("c1", c1)):
-        if not math.isfinite(value):
-            raise DomainError(f"regularizer {name} must be finite, got {value!r}")
     k = float(counts.k)
     k_max = K_MAX_FACTOR * k
     if kernel is None:
@@ -457,15 +450,15 @@ def fit_penalized(
         _, fit = solve(kp)
         p = k / kp  # k' H(k/k'): H is zero at p = 1
         entropy = 0.0 if p >= 1.0 else -(p * math.log(p) + (1.0 - p) * math.log(1.0 - p))
-        records.append((kp, fit.log_likelihood + kp * entropy + c0 / kp**c1, fit))
+        records.append((kp, fit.log_likelihood + kp * entropy + C0 / kp**C1, fit))
         return fit
 
     def slope(kp: float) -> float:
         log_f0 = mixture_log_density(kernel, evaluate(kp).mixing, 0)
-        return log_f0 - math.log1p(-k / kp) - c0 * c1 / kp ** (c1 + 1)
+        return log_f0 - math.log1p(-k / kp) - C0 * C1 / kp ** (C1 + 1)
 
     # Plain bisection on the sign: the slope has a corner where the profile
-    # flattens and sits near -c0 c1 / k'^(c1+1) beyond it, which draws
+    # flattens and sits near -C0 C1 / k'^(C1+1) beyond it, which draws
     # interpolating root finders (Brent) to the flat side; they took 18-24
     # fits for the same bracket width.
     evaluate(k)

@@ -78,7 +78,7 @@ class TrueDistribution:
 
 
 def make_distribution(
-    kind: str, k: int, s: float = 1.0, probs=None
+    kind: str, k: int, s: Optional[float] = None, probs=None
 ) -> TrueDistribution:
     """Standard synthetic distributions over k categories.
 
@@ -86,10 +86,15 @@ def make_distribution(
     on the second (k even).  spike_and_uniform: 1/(2(k-3)) on the first k-3
     cells, then 1/8, 1/8, 1/4.  geometric: p_i proportional to (1-theta)^i
     with theta = 1/k; log_series: proportional to (1-theta)^i / i.
-    zipf: p_i proportional to i^{-s}.  custom: probabilities given verbatim.
+    zipf: p_i proportional to i^{-s}, s = 1 unless given.  custom:
+    probabilities given verbatim.  ``s`` on any kind but zipf, or ``probs`` on
+    any kind but custom, is a DomainError naming it.
     """
     if kind not in DISTRIBUTION_KINDS:
         raise DomainError(f"unknown distribution kind {kind!r}")
+    for key, value, reader in (("s", s, "zipf"), ("probs", probs, "custom")):
+        if value is not None and kind != reader:
+            raise DomainError(f"{key!r} does not apply to kind {kind!r}")
     if kind == "custom":
         if probs is None:
             raise DomainError("custom distribution needs explicit probabilities")
@@ -123,11 +128,12 @@ def make_distribution(
         p = np.exp(logp - logp.max())
         p /= p.sum()
     else:
+        s = 1.0 if s is None else float(s)
         if not math.isfinite(s):
             raise DomainError(f"Zipf exponent 's' must be finite, got {s!r}")
         p = i**-s
         p /= p.sum()
-    return TrueDistribution(kind, k, p, s=float(s) if kind == "zipf" else None)
+    return TrueDistribution(kind, k, p, s=s)
 
 
 def histogram_distribution(dist: TrueDistribution) -> MixingDistribution:
@@ -335,22 +341,6 @@ def _read(doc, key: str, kind, default=_REQUIRED):
     return doc[key]
 
 
-# Distribution keys that only some kinds read, with those kinds: any other kind
-# refuses them.  FunctionalSpec refuses a parameter its kind does not read.
-_ONLY_FOR = {
-    "s": ("zipf",),
-    "probs": ("custom",),
-}
-
-
-def _refuse_inapplicable(doc: dict, kind: str) -> None:
-    """A key of ``_ONLY_FOR`` that ``kind`` does not read is a DomainError
-    naming it; a null value counts as absent, as in ``_read``."""
-    for key, kinds in _ONLY_FOR.items():
-        if doc.get(key) is not None and kind not in kinds:
-            raise DomainError(f"config: {key!r} does not apply to kind {kind!r}")
-
-
 def _refuse_unread(doc: dict, level: str) -> None:
     """A key outside ``_KEYS[level]`` is a DomainError naming it: nothing reads it."""
     for key in doc:
@@ -360,8 +350,7 @@ def _refuse_unread(doc: dict, level: str) -> None:
 
 
 def config_from_json(text: str) -> ExperimentConfig:
-    """Parse an experiment description from its JSON form; see ``_KEYS`` and
-    ``_ONLY_FOR``."""
+    """Parse an experiment description from its JSON form; see ``_KEYS``."""
     doc = json.loads(text)
     dist_doc = _read(doc, "distribution", dict)
     _refuse_unread(doc, "top")
@@ -371,10 +360,9 @@ def config_from_json(text: str) -> ExperimentConfig:
     dist = make_distribution(
         _read(dist_doc, "kind", str),
         k,
-        s=float(_read(dist_doc, "s", _NUMBER, 1.0)),
+        s=_read(dist_doc, "s", _NUMBER, None),
         probs=probs,
     )
-    _refuse_inapplicable(dist_doc, dist.kind)
     spec_doc = _read(doc, "functional", (str, dict), "entropy")
     if isinstance(spec_doc, str):
         spec_doc = {"kind": spec_doc}

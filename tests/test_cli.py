@@ -62,6 +62,25 @@ def test_estimate_functional_flag_parsing(capsys, raw_file):
         assert math.isfinite(json.loads(out)["value"])
 
 
+@pytest.mark.parametrize(
+    "functional,message",
+    [
+        ("entropy:3", "functional 'entropy' takes no parameter"),
+        ("renyi", "functional 'renyi' needs a number for alpha, got ''"),
+        ("power-sum:", "functional 'power-sum' needs a number for alpha, got ''"),
+        ("unseen:soon", "functional 'unseen' needs a number for horizon, got 'soon'"),
+    ],
+    ids=["entropy-with-parameter", "renyi-no-colon", "power-sum-empty", "unseen-not-a-number"],
+)
+def test_functional_parameter_missing_or_refused_names_the_functional(
+    capsys, raw_file, functional, message
+):
+    argv = ["estimate", "--input", raw_file, "--functional", functional, "--method", "empirical"]
+    code, out, err = run(capsys, argv)
+    assert code == 1 and out == ""
+    assert err.startswith(f"countmix estimate: error: {message}") and "\n" not in err.strip()
+
+
 def test_estimate_csv_format(capsys, raw_file):
     code, out, _ = run(
         capsys,
@@ -253,12 +272,6 @@ def test_binomial_count_above_trials_exit_code_1(capsys, raw_file):
     assert err.strip() == "countmix fit: error: binomial count exceeds the number of trials"
 
 
-def test_localized_nonpositive_kappa_exit_code_1(capsys, raw_file):
-    code, out, err = run(capsys, ["localized", "--input", raw_file, "--kappa", "0"])
-    assert code == 1 and out == ""
-    assert "kappa must be positive" in err and "\n" not in err.strip()
-
-
 @pytest.mark.parametrize(
     "argv,setting",
     [
@@ -268,9 +281,7 @@ def test_localized_nonpositive_kappa_exit_code_1(capsys, raw_file):
          "alpha"),
         (["estimate", "--input", "{huge_k}", "--functional", "entropy", "--method", "plugin"],
          "line 2:"),
-        (["localized", "--input", "{raw}", "--kappa", "nan"], "kappa"),
         (["penalized", "--input", "{positive}", "--tol", "-1"], "tol"),
-        (["penalized", "--input", "{positive}", "--c0", "nan"], "c0"),
         (["gof", "--input", "{raw}", "--T", "3", "--model", "mixture", "--tol", "nan"], "tol"),
         (["unseen", "--input", "{raw}", "--t-grid", "nan,1"], "horizon"),
         (["simulate", "--config", "{config}"], "'tol'"),
@@ -284,10 +295,10 @@ def test_localized_nonpositive_kappa_exit_code_1(capsys, raw_file):
          "Unable to allocate"),
     ],
     ids=["fit-tol-nan", "fit-tol-inf", "estimate-renyi-nan", "estimate-k-beyond-int64",
-         "localized-kappa-nan", "penalized-tol-negative", "penalized-c0-nan", "gof-tol-nan",
-         "unseen-t-nan", "simulate-tol-nan", "localized-tol-nan-no-small-cell",
-         "estimate-localized-tol-nan-no-small-cell", "simulate-zipf-s-nan",
-         "simulate-custom-probs-empty", "simulate-grid-size-key", "gof-T-out-of-memory"],
+         "penalized-tol-negative", "gof-tol-nan", "unseen-t-nan", "simulate-tol-nan",
+         "localized-tol-nan-no-small-cell", "estimate-localized-tol-nan-no-small-cell",
+         "simulate-zipf-s-nan", "simulate-custom-probs-empty", "simulate-grid-size-key",
+         "gof-T-out-of-memory"],
 )
 def test_nan_infinite_or_oversized_setting_exit_code_1(capsys, raw_file, tmp_path, argv, setting):
     files = {"raw": raw_file}
@@ -380,6 +391,9 @@ DROPPED = [
     ("localized", "--grid-size", "50"),
     ("gof", "--grid-size", "50"),
     ("unseen", "--grid-size", "50"),
+    ("localized", "--kappa", "2"),
+    ("penalized", "--c0", "10"),
+    ("penalized", "--c1", "1"),
 ]
 
 
@@ -388,8 +402,8 @@ DROPPED = [
     [
         ("fit", []),
         ("estimate", ["--functional", "--method"]),
-        ("localized", ["--kappa"]),
-        ("penalized", ["--c0", "--c1"]),
+        ("localized", []),
+        ("penalized", []),
         ("gof", ["--T", "--model"]),
         ("unseen", ["--t-grid", "--method"]),
         ("simulate", ["--seed", "--config"]),

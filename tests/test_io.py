@@ -133,6 +133,16 @@ def test_counts_beyond_int64_raise_parse_error():
     assert parse("#format=raw\n9223372036854775807\n").counts.tolist() == [2**63 - 1]
 
 
+def test_a_format_that_differs_from_an_earlier_one_raises_with_its_line():
+    # reading on would drop the lines of one of the two formats
+    for text in ("#format=raw\n1\n2\n#format=fingerprint\n3,4\n",
+                 "#format=fingerprint\n3,4\n1,2\n#format=raw\n1\n"):
+        with pytest.raises(ParseError, match="#format") as err:
+            parse(text)
+        assert err.value.line == 4
+    assert parse("#format=raw\n1\n#format=raw\n2\n").counts.tolist() == [1, 2]
+
+
 @pytest.mark.parametrize("key", ["k", "n", "tail"])
 @pytest.mark.parametrize("value", ["99999999999999999999", "-99999999999999999999"])
 def test_directive_beyond_int64_raises_parse_error_with_its_line(key, value):

@@ -385,13 +385,6 @@ def test_localized_partition_matches_threshold():
     )
 
 
-def test_localized_rejects_nonpositive_kappa():
-    counts = CountData([0, 100, 3], n=200)
-    for kappa in (0.0, -1.0):
-        with pytest.raises(DomainError, match="kappa"):
-            fit_localized(counts, kappa=kappa)
-
-
 FITS = {
     "fit_npmle": fit_npmle,
     "fit_localized": fit_localized,
@@ -414,11 +407,6 @@ def test_every_fit_rejects_a_tol_that_is_not_positive_and_finite(name, tol):
 @pytest.mark.parametrize(
     "name,settings,setting",
     [
-        ("fit_localized", {"kappa": math.nan}, "kappa"),
-        ("fit_localized", {"kappa": math.inf}, "kappa"),
-        ("fit_penalized", {"reg": (math.nan, 1.0)}, "c0"),
-        ("fit_penalized", {"reg": (10.0, math.nan)}, "c1"),
-        ("fit_penalized", {"reg": (math.inf, 1.0)}, "c0"),
         ("scaled_kl_profile", {"k_prime_list": [math.nan]}, "k'"),
         ("scaled_kl_profile", {"k_prime_list": [math.inf]}, "k'"),
         ("scaled_kl_profile", {"k_prime_list": [6.0, -math.inf]}, "k'"),

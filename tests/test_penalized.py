@@ -13,7 +13,7 @@ from countmix import (
     scaled_kl_profile,
 )
 from countmix.kernels import mixture_log_density
-from countmix.npmle import DEFAULT_REG, _padded_fits
+from countmix.npmle import C0, C1, _padded_fits
 
 
 def rng(stream):
@@ -91,7 +91,7 @@ def test_shared_rows_match_cold_fits(family, k_star, n, philox_key):
     for kp, objective in result.profile:
         _, cold = _padded_fits(positive, kernel, 1e-6)(kp)
         assert objective == pytest.approx(
-            padded_objective(positive.k, cold.log_likelihood, kp, *DEFAULT_REG),
+            padded_objective(positive.k, cold.log_likelihood, kp, C0, C1),
             rel=1e-12,
             abs=0.0,
         )

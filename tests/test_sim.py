@@ -49,6 +49,14 @@ def test_a_distribution_that_is_not_finite_is_refused():
         make_distribution("custom", 0, probs=[])
 
 
+def test_a_parameter_the_kind_does_not_read_is_refused_by_name():
+    with pytest.raises(DomainError, match="'s'"):
+        make_distribution("uniform", 5, s=3.0)
+    with pytest.raises(DomainError, match="'probs'"):
+        make_distribution("geometric", 2, probs=[0.9, 0.1])
+    assert make_distribution("zipf", 3).s == make_distribution("zipf", 3, s=1).s == 1.0
+
+
 def test_custom_distribution_refuses_k_other_than_the_number_of_probs():
     with pytest.raises(DomainError, match="'k'"):
         make_distribution("custom", 99, probs=[1, 2, 3])
