@@ -107,9 +107,18 @@ class CountData:
         """Distinct count values and their multiplicities, implicit zeros included.
 
         Equal counts contribute identical likelihood terms, so fits operate on
-        this compressed form; multiplicities sum to ``k``.
+        this compressed form; multiplicities sum to ``k``.  Counts no larger
+        than their number are tallied by ``np.bincount``, whose table is then
+        no larger than the sorted copy ``np.unique`` makes; larger ones are
+        sorted by ``np.unique``.  Both give the same values, order and dtypes.
         """
-        values, mult = np.unique(self.counts, return_counts=True)
+        counts = self.counts
+        if counts.size and self.max_count() <= counts.size:
+            tally = np.bincount(counts)
+            values = np.flatnonzero(tally)
+            mult = tally[values]
+        else:
+            values, mult = np.unique(counts, return_counts=True)
         mult = mult.astype(float)
         if self.implicit_zeros:
             if values.size and values[0] == 0:

@@ -11,9 +11,12 @@ mass), ``#k=`` (alphabet size; defaults to the number of cells), and ``#tail=``
 (cells binned into an unbounded top bucket, carried as metadata and excluded
 from fits).
 
-A raw body with no directive and exactly one token per line is parsed in one
-vectorised pass; any other body goes through the line loop, which alone
-raises ``ParseError`` and names the line.
+A raw body whose characters are all ASCII digits and newlines, with no blank
+line and no line of more than 18 digits, is parsed by one numpy pass over its
+bytes, block by block.  Any other body (a directive, a blank line, a space,
+a carriage return, a sign, an underscore, a non-ASCII digit, a 19-digit
+value) goes through the line loop, which reads it as ``int()`` does and
+alone raises ``ParseError`` naming the line.
 """
 
 from __future__ import annotations
@@ -56,25 +59,59 @@ def _lines(text: str):
         lineno += 1
 
 
-def _raw_body(body: str) -> Optional[np.ndarray]:
-    """The counts of a raw body in one vectorised pass, or None.
+# Bytes of a raw body converted per block: each block's temporaries stay near
+# a megabyte however long the file is.
+_BLOCK = 1 << 18
 
-    None unless the body holds no ``#``, its tokens joined by newlines give
-    back the stripped body (so each line holds exactly one token and none is
-    blank), every token converts to int64 and none is negative.  On None the
-    caller's line loop parses the body and reports the first bad line.
+# Longest line the fast path converts: 18 digits stay below 10^18 < 2^63.
+_FAST_DIGITS = 18
+
+
+def _raw_body(body: str) -> Optional[np.ndarray]:
+    """The counts of a raw body in one numpy pass over its bytes, or None.
+
+    None unless every character is an ASCII digit or a newline, no line is
+    blank and no line has more than 18 digits (a final newline ends the last
+    line and opens no blank one).  Each count is then built from its digits
+    by their place before the line's end.  On None the caller's line loop
+    parses the body and reports the first bad line.
     """
-    if "#" in body:
+    if not body or not body.isascii():
         return None
-    tokens = body.split()
-    if "\n".join(tokens) != body.strip():
-        return None
-    try:
-        counts = np.array(tokens, dtype=np.int64)
-    except (ValueError, OverflowError):
-        return None
-    if counts.size and counts.min() < 0:
-        return None
+    data = body.encode("ascii")
+    raw = np.frombuffer(data, dtype=np.uint8)
+    blocks = range(0, raw.size, _BLOCK)
+    lines = sum(np.count_nonzero(raw[i:i + _BLOCK] == ord("\n")) for i in blocks)
+    counts = np.empty(lines + (raw[-1] != ord("\n")), dtype=np.int64)
+    done = start = 0
+    while start < raw.size:
+        stop = raw.size
+        if start + _BLOCK < raw.size:  # end the block at its last newline
+            stop = data.rfind(b"\n", start, start + _BLOCK) + 1
+            if stop <= start:
+                return None  # a line longer than a block
+        digits = raw[start:stop] - ord("0")
+        newline = raw[start:stop] == ord("\n")
+        if newline[0] or np.count_nonzero(digits < 10) + np.count_nonzero(newline) != digits.size:
+            return None
+        last = np.flatnonzero(newline[1:])  # where each line's last digit sits
+        if not newline[-1]:
+            last = np.append(last, digits.size - 1)
+        span = np.empty_like(last)  # each line's bytes, its newline included
+        span[0] = last[0] + 2  # the block starts just after a newline
+        np.subtract(last[1:], last[:-1], out=span[1:])
+        if span.min() < 2 or span.max() > _FAST_DIGITS + 1:
+            return None
+        block = counts[done:done + last.size]
+        block[:] = digits[last]
+        longer = np.flatnonzero(span > 2)
+        place = 1
+        while longer.size:
+            block[longer] += digits[last[longer] - place].astype(np.int64) * 10**place
+            place += 1
+            longer = longer[span[longer] > place + 1]
+        done += last.size
+        start = stop
     return counts
 
 

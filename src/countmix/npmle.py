@@ -148,6 +148,7 @@ def build_grid(
     declared, as in support-size estimation.  All-zero counts degenerate to
     {0} plus nine auxiliary points in [0, 1/n].
     """
+    _check_min_mass(min_mass)
     m = max(500, min(2000, math.ceil(math.sqrt(max(counts.k, 1)) * 10)))
     n = counts.n
     pbar = min(counts.max_count() / n, 1.0)
@@ -292,6 +293,11 @@ def _check_tol(tol: float) -> None:
         raise DomainError(f"tol must be positive and finite, got {tol!r}")
 
 
+def _check_min_mass(min_mass: Optional[float]) -> None:
+    if min_mass is not None and not 0.0 < min_mass <= 1.0:  # NaN fails it too
+        raise DomainError(f"min_mass must lie in (0, 1], got {min_mass!r}")
+
+
 def _solve_rows(
     B: np.ndarray, rowmax: np.ndarray, mult: np.ndarray, grid: Grid, tol: float
 ) -> FitResult:
@@ -369,6 +375,7 @@ def fit_localized(
     The grid of the sub-fit is capped at the same threshold.
     """
     _check_tol(tol)
+    _check_min_mass(min_mass)
     n = counts.n
     if n < 2:
         raise DomainError("localization requires n >= 2")

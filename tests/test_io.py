@@ -5,7 +5,7 @@ import countmix.io as cmio
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from countmix import CountData, ParseError, fit_npmle
@@ -186,13 +186,17 @@ def outcome(text):
 
 # Lines the fast path must leave to the line loop, or parse exactly as it does.
 ODD_LINES = ["", "  ", "\t", " 5 ", "1 2", "3\x0c4", "\x0c", "+3", "1_000", "-1", "x",
-             "12345678901234567890", "9223372036854775807", "#n=50", "#k=40", "#tail=2"]
+             "12345678901234567890", "9223372036854775807", "#n=50", "#k=40", "#tail=2",
+             "\u0663", "\u00b2", "\uff15", "007", "999999999999999999", "1000000000000000000"]
+
+# The odd lines the fast path converts itself: ASCII digits, at most 18 of them.
+FAST_ODD_LINES = {"007": 7, "999999999999999999": 999999999999999999}
 
 
 @settings(max_examples=500, deadline=None)
 @given(
     head=st.lists(st.sampled_from(["", "#n=60", "#k=50", " "]), max_size=2),
-    body=st.lists(st.integers(min_value=0, max_value=10**6).map(str), max_size=10),
+    body=st.lists(st.integers(min_value=0, max_value=10**18).map(str), max_size=10),
     odd=st.lists(st.tuples(st.integers(min_value=0), st.sampled_from(ODD_LINES)), max_size=3),
     newline=st.sampled_from(["\n", "\r\n"]),
     final_newline=st.booleans(),
@@ -206,6 +210,57 @@ def test_raw_fast_path_matches_the_line_loop(head, body, odd, newline, final_new
         patch.setattr(cmio, "_raw_body", lambda body: None)
         loop = outcome(text)
     assert fast == loop
+
+
+def test_raw_body_converts_a_plain_body_and_refuses_every_other_line():
+    # the line loop parses whatever the fast path refuses, so a fast path that
+    # silently refused plain bodies would pass every other test
+    counts = np.arange(100_000, dtype=np.int64) * 7919 % 10**6  # one to six digits
+    body = "\n".join(map(str, counts.tolist()))  # several blocks
+    for text in (body, body + "\n"):
+        fast = cmio._raw_body(text)
+        assert fast.dtype == np.int64
+        assert np.array_equal(fast, counts)
+    for line in ODD_LINES:
+        fast = cmio._raw_body(f"1\n{line}\n2\n")
+        if line in FAST_ODD_LINES:
+            assert fast.tolist() == [1, FAST_ODD_LINES[line], 2]
+        else:
+            assert fast is None, line
+    assert cmio._raw_body(body + "\nx\n") is None  # in the last block
+    assert cmio._raw_body("\n" + body) is None
+    assert cmio._raw_body("1" * (cmio._BLOCK + 1) + "\n") is None  # longer than a block
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    counts=st.one_of(
+        st.lists(st.integers(min_value=0, max_value=12), max_size=40),
+        st.lists(st.integers(min_value=0, max_value=2**63 - 1), max_size=40),
+    ),
+    implicit=st.integers(min_value=0, max_value=5),
+)
+@example(counts=[3, 0, 3, 1], implicit=2)  # dense, with implicit zeros
+@example(counts=[2**62, 5], implicit=1)  # a huge maximum
+@example(counts=[], implicit=3)  # no listed count, k = 3
+def test_fingerprint_matches_np_unique_of_the_padded_counts(counts, implicit):
+    data = CountData(np.array(counts, dtype=np.int64), n=1, k=max(len(counts) + implicit, 1))
+    values, mult = data.unique_with_multiplicity()
+    padded = np.concatenate([data.counts, np.zeros(data.implicit_zeros, dtype=np.int64)])
+    want_values, want_mult = np.unique(padded, return_counts=True)
+    assert values.dtype == np.int64 and mult.dtype == np.float64
+    assert values.tolist() == want_values.tolist()
+    assert mult.tolist() == want_mult.astype(float).tolist()
+
+
+def test_dense_fingerprint_is_tallied_without_sorting():
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.unique called on dense counts")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np, "unique", refuse)
+        values, mult = CountData([3, 0, 3, 1], n=7, k=6).unique_with_multiplicity()
+    assert values.tolist() == [0, 1, 3] and mult.tolist() == [3.0, 1.0, 2.0]
 
 
 @settings(max_examples=50, deadline=None)

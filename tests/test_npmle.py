@@ -415,3 +415,16 @@ def test_every_fit_rejects_a_tol_that_is_not_positive_and_finite(name, tol):
 def test_nan_and_infinite_settings_are_rejected_by_name(name, settings, setting):
     with pytest.raises(DomainError, match=setting):
         FITS[name](CountData([1, 2, 5], n=10), **settings)
+
+
+@pytest.mark.parametrize("min_mass", [math.nan, 5.0, -1.0, 0.0])
+def test_min_mass_outside_the_unit_interval_is_rejected_by_name(min_mass):
+    # a FitError here would name neither min_mass nor its range
+    with pytest.raises(DomainError, match="min_mass"):
+        fit_localized(CountData([1, 2, 3, 0, 0, 50], n=100), min_mass=min_mass)
+    # [500, 600] at n = 10 leaves no small cell, so nothing reaches the grid
+    with pytest.raises(DomainError, match="min_mass"):
+        fit_localized(CountData([500, 600], n=10), min_mass=min_mass)
+    with pytest.raises(DomainError, match="min_mass"):
+        build_grid(CountData([1, 2, 3], n=10), min_mass=min_mass)
+    assert build_grid(CountData([1, 2, 3], n=10), min_mass=1.0).atoms.tolist() == [0.0]
